@@ -12,8 +12,8 @@
 //! imbalance, verifying the paper's argument quantitatively — and that
 //! every strategy produces the identical assignment. The oracle
 //! strategies (per-node, self-scheduling) see true per-item costs; the
-//! cost-model strategies (lpt, chunked, cost-guided) plan from the
-//! online model calibrated during an untimed warmup round.
+//! cost-guided strategy plans from the online model calibrated during
+//! an untimed warmup round.
 //!
 //! ```text
 //! cargo run --release -p mn-bench --bin ablation_partition [-- --quick]
@@ -67,8 +67,6 @@ fn main() {
             PartitionStrategy::SelfScheduling,
             "self-scheduling (future work)",
         ),
-        (PartitionStrategy::Lpt, "lpt (cost model)"),
-        (PartitionStrategy::Chunked, "chunked (cost model)"),
         (PartitionStrategy::CostGuided, "cost-guided (adaptive)"),
     ] {
         for &p in &[64usize, 256, 1024] {
@@ -109,7 +107,7 @@ fn main() {
         "\nshape check: per-node ownership suffers the worst imbalance \
          (the paper's \"severe load imbalance\" argument), the paper's block \
          split is far better, and dynamic self-scheduling (future work) is \
-         best at large p. The cost-model strategies approach the oracle \
+         best at large p. The cost-guided strategy approaches the oracle \
          from measured history alone. All strategies produced identical \
          assignments."
     );

@@ -32,10 +32,11 @@
 //! only those deterministic unit-domain statistics there.
 
 use crate::partition::{
-    assign_owners, block_owner, load_imbalance, rank_loads, PartitionStrategy,
+    assign_owners, block_owners, block_range, load_imbalance, rank_loads, PartitionStrategy,
 };
 use crate::segments::Segments;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Online predictor of per-item work units, keyed by segment length.
 ///
@@ -172,40 +173,39 @@ impl PartitionGovernor {
         self.block_imbalance
     }
 
-    /// Owner assignment for an upcoming map of `segments` over `p`
-    /// ranks, or `None` when the strategy is the plain block split
-    /// (engines then take their unchanged fast path). `Some` owners
-    /// may still *be* the block assignment — CostGuided before
-    /// engagement — because the strategy path is also what gathers the
-    /// per-item units that calibrate the model.
-    pub fn plan(&self, p: usize, segments: &Segments) -> Option<Vec<usize>> {
+    /// Whether maps under the configured strategy feed their measured
+    /// per-item units back into the model ([`Self::observe_map`]).
+    /// Every strategy but the plain block split does: on the msg
+    /// engine that means shipping costed `(T, u64)` pairs, so the
+    /// calibration inputs replicate to every rank.
+    pub fn calibrating(&self) -> bool {
+        self.strategy != PartitionStrategy::Block
+    }
+
+    /// The plan for an upcoming map of `segments` over `p` ranks. The
+    /// block split is one plan among the others, and CostGuided plans
+    /// it too until the feedback loop engages.
+    pub fn plan(&self, p: usize, segments: &Segments) -> Plan {
         let n = segments.n_items();
-        match self.strategy {
-            PartitionStrategy::Block => None,
+        let owners = match self.strategy {
+            PartitionStrategy::Block => return Plan::block(p, segments),
+            // Cost-independent: identical owners on every engine.
             PartitionStrategy::SegmentOwner => {
-                // Cost-independent: identical owners on every engine.
-                Some(assign_owners(
-                    PartitionStrategy::SegmentOwner,
-                    p,
-                    &vec![1u64; n],
-                    segments,
-                ))
+                assign_owners(self.strategy, p, &vec![1u64; n], segments)
             }
-            PartitionStrategy::SelfScheduling
-            | PartitionStrategy::Lpt
-            | PartitionStrategy::Chunked => {
+            PartitionStrategy::SelfScheduling => {
                 let predicted = self.model.predict_items(segments);
-                Some(assign_owners(self.strategy, p, &predicted, segments))
+                assign_owners(self.strategy, p, &predicted, segments)
             }
             PartitionStrategy::CostGuided => {
-                if self.engaged && !self.model.is_cold() {
-                    let predicted = self.model.predict_items(segments);
-                    Some(assign_owners(PartitionStrategy::Lpt, p, &predicted, segments))
-                } else {
-                    Some((0..n).map(|i| block_owner(n, p, i)).collect())
+                if !self.engaged || self.model.is_cold() {
+                    return Plan::block(p, segments);
                 }
+                let predicted = self.model.predict_items(segments);
+                assign_owners(self.strategy, p, &predicted, segments)
             }
-        }
+        };
+        Plan::from_owners(p, owners, segments)
     }
 
     /// Record the realized per-item units of a strategy-mode map:
@@ -223,8 +223,7 @@ impl PartitionGovernor {
         if costs.is_empty() || p <= 1 {
             return;
         }
-        let n = costs.len();
-        let block: Vec<usize> = (0..n).map(|i| block_owner(n, p, i)).collect();
+        let block = block_owners(costs.len(), p);
         let imb = load_imbalance(&rank_loads(p, &block, costs));
         self.maps_observed += 1;
         self.block_imbalance = if self.maps_observed == 1 {
@@ -258,17 +257,106 @@ impl PartitionGovernor {
     }
 }
 
+/// One kernel call's worth of work: a sub-range of one segment.
+pub type Run = (usize, Range<usize>);
+
+/// Who computes what in one map: each rank's runs, and how to put the
+/// ranks' results back in item order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    /// Every rank's runs, rank after rank, each rank's in ascending
+    /// item order (one flat list: a map plans in two allocations).
+    runs: Vec<Run>,
+    /// Rank `r`'s runs are `runs[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+    /// Per-item owners, for plans whose rank blocks do not simply
+    /// concatenate in item order; `None` for the block split.
+    owners: Option<Vec<usize>>,
+}
+
+impl Plan {
+    /// The paper's block split: rank `r` runs the segments clipped to
+    /// its [`block_range`], so a block boundary may bisect a segment.
+    pub fn block(p: usize, segments: &Segments) -> Plan {
+        let n = segments.n_items();
+        // Each of the p − 1 block boundaries cuts at most one segment.
+        let mut runs = Vec::with_capacity(segments.n_segments() + p);
+        let mut starts = Vec::with_capacity(p + 1);
+        starts.push(0);
+        for rank in 0..p {
+            let (lo, hi) = block_range(n, p, rank);
+            runs.extend(segments.overlapping(lo, hi));
+            starts.push(runs.len());
+        }
+        Plan {
+            runs,
+            starts,
+            owners: None,
+        }
+    }
+
+    /// The plan of an arbitrary per-item owner vector.
+    pub fn from_owners(p: usize, owners: Vec<usize>, segments: &Segments) -> Plan {
+        let per_rank = owner_runs(p, &owners, segments);
+        let mut starts = vec![0];
+        starts.extend(per_rank.iter().scan(0, |end, runs| {
+            *end += runs.len();
+            Some(*end)
+        }));
+        Plan {
+            runs: per_rank.concat(),
+            starts,
+            owners: Some(owners),
+        }
+    }
+
+    /// The runs rank `rank` executes, in ascending item order.
+    pub fn runs(&self, rank: usize) -> &[Run] {
+        &self.runs[self.starts[rank]..self.starts[rank + 1]]
+    }
+
+    /// The per-item owners; `None` for the block split.
+    pub fn owners(&self) -> Option<&[usize]> {
+        self.owners.as_deref()
+    }
+
+    /// Items each rank computes.
+    pub fn counts(&self) -> Vec<usize> {
+        (0..self.starts.len() - 1)
+            .map(|rank| self.runs(rank).iter().map(|(_, range)| range.len()).sum())
+            .collect()
+    }
+
+    /// Reorder the rank-ordered concatenation of every rank's results
+    /// (what an all-gather yields) into item order. Each rank's block
+    /// holds its items in ascending order, so one cursor per rank,
+    /// driven by the owner vector, restores the global order; the
+    /// block split needs no reordering at all.
+    pub fn reorder<E>(&self, mut gathered: Vec<E>) -> Vec<E> {
+        let Some(owners) = &self.owners else {
+            return gathered;
+        };
+        let mut blocks: Vec<_> = self
+            .counts()
+            .iter()
+            .rev()
+            .map(|&count| gathered.split_off(gathered.len() - count).into_iter())
+            .collect();
+        blocks.reverse();
+        owners
+            .iter()
+            .map(|&owner| blocks[owner].next().expect("one result per owned item"))
+            .collect()
+    }
+}
+
 /// Per-rank execution plan for an owner assignment: for each rank, the
 /// maximal same-owner runs `(segment, sub-range)` in ascending item
 /// order. Segment-batched kernels require contiguous sub-ranges of one
 /// segment per call; this is the finest cut that satisfies both the
 /// kernel contract and an arbitrary owner vector.
-pub fn owner_runs(
-    p: usize,
-    owners: &[usize],
-    segments: &Segments,
-) -> Vec<Vec<(usize, std::ops::Range<usize>)>> {
-    let mut plans: Vec<Vec<(usize, std::ops::Range<usize>)>> = vec![Vec::new(); p];
+pub fn owner_runs(p: usize, owners: &[usize], segments: &Segments) -> Vec<Vec<Run>> {
+    let mut plans: Vec<Vec<Run>> = vec![Vec::new(); p];
     for (seg, range) in segments.iter() {
         let mut i = range.start;
         while i < range.end {
@@ -323,15 +411,18 @@ mod tests {
         let mut gov = PartitionGovernor::new(PartitionStrategy::CostGuided);
         let segments = Segments::from_lens([8usize, 56]);
         let p = 8;
-        // Cold: the plan is the block assignment.
-        let cold = gov.plan(p, &segments).unwrap();
-        let block: Vec<usize> = (0..64).map(|i| block_owner(64, p, i)).collect();
-        assert_eq!(cold, block);
+        // Cold: the plan is the block split.
+        assert_eq!(gov.plan(p, &segments), Plan::block(p, &segments));
+        let block = block_owners(64, p);
         // One skewed map (expensive prefix) calibrates and engages.
         let costs: Vec<u64> = (0..64).map(|i| if i < 8 { 500 } else { 5 }).collect();
         gov.observe_map(p, &segments, &costs);
         assert!(gov.engaged(), "block imbalance {}", gov.block_imbalance());
-        let hot = gov.plan(p, &segments).unwrap();
+        let hot = gov
+            .plan(p, &segments)
+            .owners()
+            .expect("engaged plans owners")
+            .to_vec();
         assert_ne!(hot, block);
         // The engaged plan spreads the predicted load better than block.
         let predicted = gov.model().predict_items(&segments);
@@ -343,9 +434,17 @@ mod tests {
     }
 
     #[test]
-    fn block_strategy_has_no_plan() {
+    fn block_strategy_plans_the_block_split_without_calibrating() {
         let gov = PartitionGovernor::new(PartitionStrategy::Block);
-        assert!(gov.plan(4, &Segments::whole(10)).is_none());
+        let segments = Segments::from_lens([3usize, 0, 7]);
+        let plan = gov.plan(4, &segments);
+        // The block runs are the block owner vector's runs, already in
+        // item order.
+        let runs: Vec<Vec<Run>> = (0..4).map(|rank| plan.runs(rank).to_vec()).collect();
+        assert_eq!(runs, owner_runs(4, &block_owners(10, 4), &segments));
+        assert_eq!(plan.owners(), None);
+        assert!(!gov.calibrating());
+        assert!(PartitionGovernor::new(PartitionStrategy::SegmentOwner).calibrating());
     }
 
     #[test]
@@ -366,6 +465,21 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s == 1));
+    }
+
+    #[test]
+    fn reorder_restores_item_order() {
+        let segments = Segments::whole(5);
+        let plan = Plan::from_owners(3, vec![1, 0, 1, 2, 0], &segments);
+        assert_eq!(plan.counts(), vec![2, 2, 1]);
+        // Rank-ordered concatenation: rank 0's items 1 and 4, rank 1's
+        // items 0 and 2, rank 2's item 3.
+        assert_eq!(
+            plan.reorder(vec!['b', 'e', 'a', 'c', 'd']),
+            vec!['a', 'b', 'c', 'd', 'e']
+        );
+        let block = Plan::block(3, &segments);
+        assert_eq!(block.reorder(vec![1, 2, 3, 4, 5]), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

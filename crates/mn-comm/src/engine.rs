@@ -11,7 +11,11 @@
 //! ends each step with identical state, an engine may execute the
 //! union of the work on however many physical resources it has, as
 //! long as it (a) partitions the work list the way the paper does and
-//! (b) accounts time per *virtual* rank. The three implementations:
+//! (b) accounts time per *virtual* rank. Each engine implements one
+//! map, [`ParEngine::dist_map_segmented_batch`]; the flat and per-item
+//! maps are provided on top of it (a flat list is one whole segment),
+//! and the per-event plumbing around every map lives in the shared
+//! engine core (`crate::core`). The implementations:
 //!
 //! * [`crate::serial::SerialEngine`] — one rank, measured wall-clock;
 //!   this is the optimized sequential implementation of §4.1.
@@ -22,6 +26,8 @@
 //!   clocks and the τ/μ collective cost model; reproduces the paper's
 //!   scaling experiments for `p` up to 4096 on one machine
 //!   (DESIGN.md §2 documents this substitution).
+//! * [`crate::msg::SpmdEngine`] — one real rank of an SPMD program
+//!   over a message fabric (in-process channels or OS processes).
 
 use crate::cost::Collective;
 use crate::metrics::RunReport;
@@ -73,26 +79,33 @@ pub trait ParEngine {
     /// The [`Wire`] bound exists because on message-passing engines a
     /// result value genuinely fans out to every rank (and on the
     /// multi-process transport it crosses a socket); all result types
-    /// in this workspace are plain data.
+    /// in this workspace are plain data. A flat list is one segment:
+    /// this is [`ParEngine::dist_map_segmented`] over
+    /// [`Segments::whole`].
     fn dist_map<T: Wire>(
         &mut self,
         n_items: usize,
         words_per_item: usize,
         f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T>;
+    ) -> Vec<T> {
+        self.dist_map_segmented(&Segments::whole(n_items), words_per_item, f)
+    }
 
     /// Like [`ParEngine::dist_map`], for work lists with a segment
     /// structure (all items of one tree node are contiguous). The
-    /// default ignores segments — the paper's block split deliberately
-    /// cuts across segments; engines may use them for the ablation
-    /// partitioning strategies.
+    /// paper's block split deliberately cuts across segments; the
+    /// ablation partitioning strategies use them. This is
+    /// [`ParEngine::dist_map_segmented_batch`] with a kernel that
+    /// evaluates `f` item by item.
     fn dist_map_segmented<T: Wire>(
         &mut self,
         segments: &Segments,
         words_per_item: usize,
         f: &(dyn Fn(usize) -> Costed<T> + Sync),
     ) -> Vec<T> {
-        self.dist_map(segments.n_items(), words_per_item, f)
+        self.dist_map_segmented_batch(segments, words_per_item, &|_seg, range, out| {
+            out.extend(range.map(f))
+        })
     }
 
     /// Segment-batched map with all-gather semantics.
@@ -181,11 +194,11 @@ pub trait ParEngine {
     }
 
     /// Select the partitioning strategy for subsequent `dist_map*`
-    /// calls. The default implementation ignores the request (single
-    /// rank engines have nothing to partition). Strategies never
-    /// change results — only which rank computes which item — so this
-    /// is safe to flip mid-run; on the msg engine every rank must make
-    /// the identical call (replicated control flow).
+    /// calls. The default implementation ignores the request.
+    /// Strategies never change results — only which rank computes
+    /// which item — so this is safe to flip mid-run; on the msg engine
+    /// every rank must make the identical call (replicated control
+    /// flow).
     fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
         let _ = strategy;
     }
@@ -209,8 +222,9 @@ pub trait ParEngine {
     /// event — the same clock fault injection ticks — and unwinds with
     /// the typed payload [`crate::cancel::JobCancelled`] once a stop
     /// has been requested. The default ignores the token (engines that
-    /// cannot be interrupted simply run to completion); the in-process
-    /// engines honor it, which is what `monet-serve` schedules jobs on.
+    /// cannot be interrupted simply run to completion); every engine in
+    /// this crate honors it. `monet-serve` schedules jobs on the
+    /// single-process engines.
     fn set_cancel_token(&mut self, token: crate::cancel::CancelToken) {
         let _ = token;
     }

@@ -3,12 +3,11 @@
 //! Two hooks travel together: the flight recorder handle (so deep call
 //! sites can note local events via [`mn_obs::flightrec::note_local`])
 //! and the `mn-rand` jump observer (so O(1) stream jumps land in the
-//! flight record without `mn-rand` depending on `mn-obs`). Engines
-//! install them on every thread that executes kernel code: the caller
-//! thread for [`crate::serial::SerialEngine`] and
-//! [`crate::sim::SimEngine`], each worker thread for
-//! [`crate::thread::ThreadEngine`], and each rank thread for
-//! [`crate::msg::SpmdEngine`].
+//! flight record without `mn-rand` depending on `mn-obs`). They are
+//! installed on every thread that executes kernel code: the engine
+//! core installs them on the caller thread at every map, the
+//! [`crate::thread::ThreadEngine`] on each worker thread, and the SPMD
+//! launchers on each rank thread of [`crate::msg::SpmdEngine`].
 
 use mn_obs::flightrec::{self, FlightRec};
 

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
+mod core;
 pub mod cost;
 pub mod costmodel;
 pub mod engine;
@@ -44,7 +45,7 @@ pub mod thread;
 
 pub use cancel::{CancelKind, CancelToken, JobCancelled};
 pub use cost::{Collective, CostModel};
-pub use costmodel::{owner_runs, ItemCostModel, PartitionGovernor, ENGAGE_THRESHOLD};
+pub use costmodel::{owner_runs, ItemCostModel, PartitionGovernor, Plan, Run, ENGAGE_THRESHOLD};
 pub use fault::{
     silence_injected_panics, CommError, FaultAction, FaultAbort, FaultClock, FaultPlan,
     InjectedCrash,

@@ -6,8 +6,11 @@
 //! loop: "the deviation of the maximum run-time of the loop on any
 //! process from the average run-time of the loop across all the
 //! processes, normalized by the average run-time" (§5.3.1). Every
-//! engine produces a [`RunReport`] carrying exactly those quantities.
+//! engine produces a [`RunReport`] carrying exactly those quantities,
+//! read off the depth-1 (phase) spans of its [`Recorder`] — the same
+//! clock the span tree, the trace and `RUN_METRICS.json` use.
 
+use mn_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
 /// Metrics of one named phase of a run.
@@ -48,6 +51,39 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a recorder's closed phases: one entry per depth-1
+    /// span, in execution order, with the span's elapsed and comm
+    /// time. Busy max/avg are taken over the ranks the recorder
+    /// observes; a per-rank (SPMD) recorder only sees its own rank, so
+    /// it reports that rank's busy time as both.
+    pub fn from_recorder(obs: &Recorder) -> RunReport {
+        let phases = obs
+            .spans()
+            .iter()
+            .filter(|span| span.depth == 1)
+            .map(|span| {
+                let (busy_max_s, busy_avg_s) = match obs.rank() {
+                    Some(rank) => (span.busy_s[rank], span.busy_s[rank]),
+                    None => (
+                        span.busy_s.iter().copied().fold(0.0, f64::max),
+                        span.busy_s.iter().sum::<f64>() / span.busy_s.len() as f64,
+                    ),
+                };
+                PhaseReport {
+                    name: span.name.clone(),
+                    busy_max_s,
+                    busy_avg_s,
+                    comm_s: span.comm_s,
+                    elapsed_s: span.elapsed_s(),
+                }
+            })
+            .collect();
+        RunReport {
+            nranks: obs.nranks(),
+            phases,
+        }
+    }
+
     /// Total elapsed seconds across phases.
     pub fn total_s(&self) -> f64 {
         self.phases.iter().map(|p| p.elapsed_s).sum()

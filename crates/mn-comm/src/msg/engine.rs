@@ -14,18 +14,17 @@
 //! rank finishes with the identical learned network; `spmd_run`
 //! returns all of them so callers can (and tests do) assert equality.
 
+use crate::core::{collect_kernel, core_methods, run_kernel, timed, EngineCore, Event};
 use crate::cost::Collective;
-use crate::costmodel::{owner_runs, PartitionGovernor};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
+use crate::costmodel::PartitionGovernor;
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
 use crate::fault::{CommError, FaultAbort, FaultPlan, InjectedCrash};
 use crate::hooks;
-use crate::metrics::{PhaseReport, RunReport};
 use crate::msg::collectives::{allgatherv, allreduce, barrier};
 use crate::msg::fabric::{fabric, fabric_with_faults, Endpoint, Fabric};
-use crate::partition::{block_range, PartitionStrategy};
 use crate::segments::Segments;
 use mn_obs::{FlightEvent, FlightRec, Recorder, SnapshotStash};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Unwrap a fabric result or abort this rank by unwinding with a typed
 /// payload: [`InjectedCrash`] if the plan killed *this* rank,
@@ -49,27 +48,17 @@ fn ok_or_abort<T>(result: Result<T, CommError>) -> T {
 /// the engine's protocols are identical on both.
 pub struct SpmdEngine<F: Fabric = Endpoint> {
     ep: F,
-    phases: Vec<PhaseReport>,
-    current: Option<(String, Instant)>,
-    /// Compute seconds of this rank in the current phase (time inside
-    /// `dist_map` closures); elapsed − busy approximates wait + comm.
-    busy: f64,
-    /// This rank's recorder: busy time lands in this rank's slot only;
+    /// Shared per-event plumbing. The recorder is this rank's own:
+    /// busy time lands in this rank's slot only, and
     /// [`mn_obs::recorder::merge_ranks`] combines the ranks afterwards
-    /// (and, as a side effect, verifies the counters agree).
-    obs: Recorder,
-    epoch: Instant,
-    /// Last-snapshot stash filled just before this rank aborts (the
-    /// handle is an `Arc`; [`spmd_run_faulty_recorded`] keeps clones
-    /// outside the rank threads, so the dying rank's final counters
-    /// and spans survive the unwind).
-    stash: SnapshotStash,
-    /// Partitioning state. The governor is replicated SPMD state like
-    /// the learner itself: every rank sets the same strategy, plans
-    /// from the same model, and calibrates from the same *gathered*
-    /// global units — so owner assignments are identical on all ranks
-    /// by construction, which is what keeps the fabric deadlock-free.
-    gov: PartitionGovernor,
+    /// (verifying that the counters agree). Faults are injected at the
+    /// fabric, so the core's fault clock stays inert. The governor is
+    /// replicated SPMD state like the learner itself: every rank sets
+    /// the same strategy, plans from the same model, and calibrates
+    /// from the same *gathered* global units — so owner assignments are
+    /// identical on all ranks by construction, which is what keeps the
+    /// fabric deadlock-free.
+    core: EngineCore,
 }
 
 impl<F: Fabric> SpmdEngine<F> {
@@ -87,20 +76,14 @@ impl<F: Fabric> SpmdEngine<F> {
         ep.attach_obs(flight, obs.comm_matrix());
         Self {
             ep,
-            phases: Vec::new(),
-            current: None,
-            busy: 0.0,
-            obs,
-            epoch: Instant::now(),
-            stash,
-            gov: PartitionGovernor::new(PartitionStrategy::Block),
+            core: EngineCore::new(obs).with_stash(stash),
         }
     }
 
     /// The partitioning governor (strategy, cost model, feedback
     /// state) — read access for tests and benches.
     pub fn governor(&self) -> &PartitionGovernor {
-        &self.gov
+        &self.core.gov
     }
 
     /// This rank's id.
@@ -122,95 +105,21 @@ impl<F: Fabric> SpmdEngine<F> {
             Ok(value) => value,
             Err(err) => {
                 if !matches!(err, CommError::Injected { .. }) {
-                    self.obs.flight_event(FlightEvent::CommFailure {
+                    self.core.obs.flight_event(FlightEvent::CommFailure {
                         detail: err.to_string(),
                     });
                 }
-                let now = self.now_s();
-                self.stash.store(self.obs.snapshot(now));
+                self.core.stash_snapshot();
                 ok_or_abort::<T>(Err(err))
             }
         }
     }
 
-    fn close_phase(&mut self) {
-        if let Some((name, start)) = self.current.take() {
-            let elapsed = start.elapsed().as_secs_f64();
-            self.phases.push(PhaseReport {
-                name,
-                busy_max_s: self.busy,
-                busy_avg_s: self.busy,
-                comm_s: (elapsed - self.busy).max(0.0),
-                elapsed_s: elapsed,
-            });
-            self.busy = 0.0;
-        }
-    }
-
-    /// Owner-partitioned map over the real fabric: plan owners from
-    /// the (replicated) governor, compute this rank's owned runs, and
-    /// all-gather *costed* results `(T, u64)` — shipping the units is
-    /// what replicates the calibration inputs, so every rank's model
-    /// evolves identically and the next plan agrees everywhere. The
-    /// gathered rank blocks are then scattered back to item order via
-    /// the owner vector.
-    fn map_owners<T: Wire>(
-        &mut self,
-        segments: &Segments,
-        words_per_item: usize,
-        f: SegmentBatchFn<'_, T>,
-    ) -> Vec<T> {
-        let n_items = segments.n_items();
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let p = self.ep.nranks();
-        let rank = self.ep.rank();
-        let owners = self
-            .gov
-            .plan(p, segments)
-            .expect("map_owners is only reached for planning strategies");
-        let plans = owner_runs(p, &owners, segments);
-        let start = Instant::now();
-        let mut local: Vec<Costed<T>> = Vec::new();
-        let mut buf: Vec<Costed<T>> = Vec::new();
-        for (seg, range) in &plans[rank] {
-            f(*seg, range.clone(), &mut buf);
-            local.append(&mut buf);
-        }
-        let dt = start.elapsed().as_secs_f64();
-        self.busy += dt;
-        self.obs.charge_busy_rank(rank, dt);
-        let comm_start = Instant::now();
-        let gathered = allgatherv(&self.ep, local);
-        self.obs.charge_comm(comm_start.elapsed().as_secs_f64());
-        let gathered = self.abort_on(gathered);
-        // Split the rank-ordered concatenation back into per-rank
-        // blocks, then scatter to item order: each rank produced its
-        // owned items in ascending item order, so per-rank cursors
-        // driven by the owner vector restore the global order.
-        let counts: Vec<usize> = plans
-            .iter()
-            .map(|plan| plan.iter().map(|(_, r)| r.len()).sum())
-            .collect();
-        let mut cursors = Vec::with_capacity(p);
-        let mut rest = gathered;
-        for &c in &counts {
-            let tail = rest.split_off(c);
-            cursors.push(rest.into_iter());
-            rest = tail;
-        }
-        let mut out = Vec::with_capacity(n_items);
-        let mut costs = Vec::with_capacity(n_items);
-        for &owner in &owners {
-            let (value, cost) = cursors[owner]
-                .next()
-                .expect("owner gathered one result per owned item");
-            out.push(value);
-            costs.push(cost);
-        }
-        self.gov.observe_map(p, segments, &costs);
-        out
+    /// All-gather this rank's block, charging the wait as comm time.
+    fn allgather<E: Wire>(&mut self, local: Vec<E>) -> Vec<E> {
+        let (gathered, dt) = timed(|| allgatherv(&self.ep, local));
+        self.core.obs.charge_comm(dt);
+        self.abort_on(gathered)
     }
 }
 
@@ -219,140 +128,55 @@ impl<F: Fabric> ParEngine for SpmdEngine<F> {
         self.ep.nranks()
     }
 
-    fn dist_map<T: Wire>(
-        &mut self,
-        n_items: usize,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        if matches!(
-            self.gov.strategy(),
-            PartitionStrategy::Lpt | PartitionStrategy::Chunked | PartitionStrategy::CostGuided
-        ) {
-            // Flat lists have no segment structure: plan over one
-            // whole-list segment. The segment-aware oracle strategies
-            // only apply on the segmented paths, as before.
-            let segments = Segments::whole(n_items);
-            return self.map_owners(&segments, words_per_item, &|_seg, range, out| {
-                out.extend(range.map(&f))
-            });
-        }
-        // Counters record the *logical* global call, identically on
-        // every rank — never this rank's block size.
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let p = self.ep.nranks();
-        let rank = self.ep.rank();
-        let (lo, hi) = block_range(n_items, p, rank);
-        let start = Instant::now();
-        let local: Vec<T> = (lo..hi).map(|i| f(i).0).collect();
-        let dt = start.elapsed().as_secs_f64();
-        self.busy += dt;
-        self.obs.charge_busy_rank(rank, dt);
-        let comm_start = Instant::now();
-        let gathered = allgatherv(&self.ep, local);
-        self.obs.charge_comm(comm_start.elapsed().as_secs_f64());
-        self.abort_on(gathered)
-    }
-
-    fn dist_map_segmented<T: Wire>(
-        &mut self,
-        segments: &Segments,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        // The default delegates to `dist_map`, which would discard the
-        // segment structure every non-block strategy plans over.
-        if self.gov.strategy() == PartitionStrategy::Block {
-            return self.dist_map(segments.n_items(), words_per_item, f);
-        }
-        self.map_owners(segments, words_per_item, &|_seg, range, out| {
-            out.extend(range.map(&f))
-        })
-    }
-
+    /// Owner-partitioned map over the real fabric: plan owners from
+    /// the (replicated) governor — the paper's block split by default —
+    /// compute this rank's owned runs, all-gather, and put the gathered
+    /// rank blocks back in item order via the owner vector. When the
+    /// strategy calibrates, the gathered elements are the costed pairs
+    /// `(T, u64)`: shipping the units is what replicates the
+    /// calibration inputs, so every rank's model evolves identically
+    /// and the next plan agrees everywhere. Counters record the
+    /// *logical* global call, identically on every rank.
     fn dist_map_segmented_batch<T: Wire>(
         &mut self,
         segments: &Segments,
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
-        if self.gov.strategy() != PartitionStrategy::Block {
-            return self.map_owners(segments, words_per_item, f);
+        self.core.event(Event::Map {
+            items: segments.n_items(),
+            words: words_per_item,
+        });
+        let (p, rank) = (self.ep.nranks(), self.ep.rank());
+        let plan = self.core.gov.plan(p, segments);
+        let runs = plan.runs(rank);
+        if self.core.gov.calibrating() {
+            let (local, busy) = timed(|| collect_kernel(runs, f));
+            self.core.obs.charge_busy_rank(rank, busy);
+            let results = plan.reorder(self.allgather(local));
+            self.core.calibrate(p, segments, results)
+        } else {
+            let mut local = Vec::with_capacity(runs.iter().map(|(_, range)| range.len()).sum());
+            let ((), busy) =
+                timed(|| run_kernel(runs.iter().cloned(), f, |(value, _)| local.push(value)));
+            self.core.obs.charge_busy_rank(rank, busy);
+            plan.reorder(self.allgather(local))
         }
-        self.obs.count_dist_map(segments.n_items(), words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let p = self.ep.nranks();
-        let rank = self.ep.rank();
-        let (lo, hi) = block_range(segments.n_items(), p, rank);
-        let start = Instant::now();
-        let mut local = Vec::with_capacity(hi - lo);
-        let mut buf: Vec<Costed<T>> = Vec::new();
-        for (seg, range) in segments.overlapping(lo, hi) {
-            f(seg, range, &mut buf);
-            local.extend(buf.drain(..).map(|(v, _)| v));
-        }
-        let dt = start.elapsed().as_secs_f64();
-        self.busy += dt;
-        self.obs.charge_busy_rank(rank, dt);
-        let comm_start = Instant::now();
-        let gathered = allgatherv(&self.ep, local);
-        self.obs.charge_comm(comm_start.elapsed().as_secs_f64());
-        self.abort_on(gathered)
     }
 
     fn collective(&mut self, _op: Collective, words: usize) {
         // The sampling oracles of §3.1 are collective calls; keep the
         // ranks lock-step with a real barrier.
-        self.obs.count_collective(words);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let start = Instant::now();
-        let synced = barrier(&self.ep);
-        self.obs.charge_comm(start.elapsed().as_secs_f64());
+        self.core.event(Event::Collective { words });
+        let (synced, dt) = timed(|| barrier(&self.ep));
+        self.core.obs.charge_comm(dt);
         self.abort_on(synced);
     }
 
     fn replicated(&mut self, work_units: u64) {
         // SPMD ranks genuinely execute replicated work inline; only
         // the logical units are counted.
-        self.obs.count_replicated(work_units);
-    }
-
-    fn begin_phase(&mut self, name: &str) {
-        self.close_phase();
-        self.current = Some((name.to_string(), Instant::now()));
-        let now = self.now_s();
-        self.obs.begin_phase(name, now);
-        self.obs.telemetry_tick(now);
-    }
-
-    fn report(&mut self) -> RunReport {
-        self.close_phase();
-        let now = self.now_s();
-        self.obs.finish(now);
-        RunReport {
-            nranks: self.ep.nranks(),
-            phases: std::mem::take(&mut self.phases),
-        }
-    }
-
-    fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    fn obs_mut(&mut self) -> &mut Recorder {
-        &mut self.obs
-    }
-
-    fn death_stash(&self) -> SnapshotStash {
-        self.stash.clone()
-    }
-
-    fn now_s(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
+        self.core.event(Event::Replicated { units: work_units });
     }
 
     fn io_rank(&self) -> bool {
@@ -361,20 +185,12 @@ impl<F: Fabric> ParEngine for SpmdEngine<F> {
         self.ep.rank() == 0
     }
 
-    fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.gov.set_strategy(strategy);
-    }
-
-    fn partition_strategy(&self) -> PartitionStrategy {
-        self.gov.strategy()
-    }
-
     fn partition_feedback(&mut self) {
         // No measured hint: each rank only observes its own busy time,
         // and the engagement decision must be identical on every rank.
         // The governor still engages from the counterfactual block
         // imbalance it computed over the *gathered* global units.
-        self.gov.feedback(None);
+        self.core.gov.feedback(None);
     }
 
     fn io_barrier(&mut self) {
@@ -389,6 +205,8 @@ impl<F: Fabric> ParEngine for SpmdEngine<F> {
         self.ep.set_obs_muted(false);
         self.abort_on(synced);
     }
+
+    core_methods!();
 }
 
 /// Run `program` as SPMD over `p` ranks; returns every rank's result
@@ -403,7 +221,7 @@ pub fn spmd_run<R: Send>(p: usize, program: impl Fn(&mut SpmdEngine) -> R + Sync
                 let program = &program;
                 scope.spawn(move || {
                     let mut engine = SpmdEngine::new(ep);
-                    hooks::install_thread_hooks(engine.obs.flight());
+                    hooks::install_thread_hooks(engine.core.obs.flight());
                     let out = program(&mut engine);
                     ok_or_abort(barrier(engine.endpoint()));
                     out
@@ -426,7 +244,7 @@ pub fn spmd_worker_engine<F: Fabric>(ep: F) -> (SpmdEngine<F>, FlightRec, Snapsh
     let flight = FlightRec::new(ep.nranks(), ep.rank());
     let stash = SnapshotStash::new();
     let engine = SpmdEngine::with_capture(ep, flight.clone(), stash.clone());
-    hooks::install_thread_hooks(engine.obs.flight());
+    hooks::install_thread_hooks(engine.core.obs.flight());
     (engine, flight, stash)
 }
 
@@ -487,7 +305,7 @@ pub fn spmd_run_faulty_recorded<R: Send>(
                 let stash = stashes[rank].clone();
                 scope.spawn(move || {
                     let mut engine = SpmdEngine::with_capture(ep, flight, stash);
-                    hooks::install_thread_hooks(engine.obs.flight());
+                    hooks::install_thread_hooks(engine.core.obs.flight());
                     let out = program(&mut engine);
                     // Best-effort exit barrier: with faults active,
                     // peers may already be gone.
@@ -536,6 +354,7 @@ pub fn spmd_allgatherv<F: Fabric, T: Wire>(engine: &SpmdEngine<F>, local: Vec<T>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::PartitionStrategy;
 
     #[test]
     fn dist_map_assembles_rank_ordered_results() {

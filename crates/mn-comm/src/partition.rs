@@ -9,9 +9,8 @@
 //! of candidate splits and names dynamic load balancing as future work
 //! (§3.2.3). We implement the paper's block split, the strawman
 //! per-segment owner scheme (for the ablation bench), the dynamic
-//! self-scheduling oracle, and three realizable predictor-driven
-//! schemes (LPT, chunked self-scheduling, and the adaptive cost-guided
-//! default) built on the online cost model of [`crate::costmodel`].
+//! self-scheduling oracle, and the realizable adaptive cost-guided
+//! scheme built on the online cost model of [`crate::costmodel`].
 
 use crate::segments::Segments;
 use serde::{Deserialize, Serialize};
@@ -35,33 +34,23 @@ pub enum PartitionStrategy {
     /// no real engine can); the real engines realize it with predicted
     /// costs from the online cost model.
     SelfScheduling,
-    /// Longest-Processing-Time list scheduling over predicted costs:
-    /// items sorted by descending cost, each placed on the least-loaded
-    /// rank. The classic 4/3-OPT makespan bound; non-contiguous
-    /// ownership, so segment-batched kernels see more, smaller runs.
-    Lpt,
-    /// Chunked self-scheduling over predicted costs: contiguous chunks
-    /// of `~n/(8p)` items dealt in order to the least-loaded rank.
-    /// Preserves most of the contiguity the batched kernels like while
-    /// still spreading cost skew.
-    Chunked,
     /// The adaptive default of the dynamic-partitioning subsystem:
     /// starts as `Block`, calibrates the cost model online from the
     /// measured per-item accounting, and switches to LPT assignment
     /// once the §5.3.1 imbalance feedback says the block split is
-    /// leaving efficiency on the table (see
+    /// leaving efficiency on the table. LPT is Longest-Processing-Time
+    /// list scheduling over predicted costs: items sorted by descending
+    /// cost, each placed on the least-loaded rank (see
     /// [`crate::costmodel::PartitionGovernor`]).
     CostGuided,
 }
 
 impl PartitionStrategy {
     /// Every strategy, in declaration order (for benches and tests).
-    pub const ALL: [PartitionStrategy; 6] = [
+    pub const ALL: [PartitionStrategy; 4] = [
         PartitionStrategy::Block,
         PartitionStrategy::SegmentOwner,
         PartitionStrategy::SelfScheduling,
-        PartitionStrategy::Lpt,
-        PartitionStrategy::Chunked,
         PartitionStrategy::CostGuided,
     ];
 
@@ -72,8 +61,6 @@ impl PartitionStrategy {
             PartitionStrategy::Block => "block",
             PartitionStrategy::SegmentOwner => "segment-owner",
             PartitionStrategy::SelfScheduling => "self-scheduling",
-            PartitionStrategy::Lpt => "lpt",
-            PartitionStrategy::Chunked => "chunked",
             PartitionStrategy::CostGuided => "cost-guided",
         }
     }
@@ -134,6 +121,17 @@ pub fn block_owner(n: usize, p: usize, item: usize) -> usize {
     ((item + 1) * p - 1) / n
 }
 
+/// The block partition as an owner vector: `owner[i] ==
+/// block_owner(n, p, i)`, filled range by range.
+pub fn block_owners(n: usize, p: usize) -> Vec<usize> {
+    let mut owners = vec![0usize; n];
+    for rank in 0..p {
+        let (lo, hi) = block_range(n, p, rank);
+        owners[lo..hi].fill(rank);
+    }
+    owners
+}
+
 /// Deal work to the least-loaded rank via a min-heap keyed by
 /// `(load, rank)`; ties break toward the lowest rank, so the schedule
 /// is deterministic.
@@ -169,27 +167,6 @@ fn lpt_owners(p: usize, costs: &[u64]) -> Vec<usize> {
     owners
 }
 
-/// Chunks per rank targeted by [`PartitionStrategy::Chunked`]: enough
-/// chunks that skew spreads, few enough that segment runs stay long.
-const CHUNKS_PER_RANK: usize = 8;
-
-/// Chunked self-scheduling: contiguous chunks dealt in order to the
-/// least-loaded rank so far.
-fn chunked_owners(p: usize, costs: &[u64]) -> Vec<usize> {
-    let n = costs.len();
-    let chunk = n.div_ceil(CHUNKS_PER_RANK * p).max(1);
-    let mut pool = LeastLoaded::new(p);
-    let mut owners = vec![0usize; n];
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + chunk).min(n);
-        let cost: u128 = costs[lo..hi].iter().map(|&c| u128::from(c)).sum();
-        owners[lo..hi].fill(pool.assign(cost));
-        lo = hi;
-    }
-    owners
-}
-
 /// Assign each item to a rank according to `strategy`.
 ///
 /// * `costs[i]` — the work units of item `i` (used by the dynamic
@@ -210,7 +187,7 @@ pub fn assign_owners(
     let n = costs.len();
     assert_eq!(n, segments.n_items());
     match strategy {
-        PartitionStrategy::Block => (0..n).map(|i| block_owner(n, p, i)).collect(),
+        PartitionStrategy::Block => block_owners(n, p),
         PartitionStrategy::SegmentOwner => {
             // Non-empty segment k (in order of appearance) is owned by
             // rank k mod p.
@@ -229,8 +206,6 @@ pub fn assign_owners(
                 .map(|&c| pool.assign(u128::from(c)))
                 .collect()
         }
-        PartitionStrategy::Lpt => lpt_owners(p, costs),
-        PartitionStrategy::Chunked => chunked_owners(p, costs),
         // Cost-guided is *adaptive* at the engine level (Block until
         // the governor engages); as a pure assignment over given costs
         // it is LPT — the packing it converges to.
@@ -297,6 +272,17 @@ mod tests {
     }
 
     #[test]
+    fn block_owners_match_block_owner() {
+        for &(n, p) in &[(0usize, 3usize), (10, 3), (7, 7), (5, 8), (100, 8)] {
+            let owners = block_owners(n, p);
+            assert_eq!(owners.len(), n);
+            for (i, &owner) in owners.iter().enumerate() {
+                assert_eq!(owner, block_owner(n, p, i), "n={n} p={p} i={i}");
+            }
+        }
+    }
+
+    #[test]
     fn block_owner_exhaustive_small() {
         // Exhaustive over every (n, p, item) in a small box: the closed
         // form inverts block_range with no correction step.
@@ -355,9 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn lpt_and_chunked_balance_skewed_costs() {
-        // Expensive prefix: Block loads rank 0 heavily; the dynamic
-        // packers spread it.
+    fn cost_guided_balances_skewed_costs() {
+        // Expensive prefix: Block loads rank 0 heavily; LPT packing
+        // spreads it.
         let mut costs = vec![500u64; 8];
         costs.extend(std::iter::repeat_n(5u64, 120));
         let segments = Segments::whole(costs.len());
@@ -370,21 +356,10 @@ mod tests {
             ))
         };
         let block = imb(PartitionStrategy::Block);
-        assert!(imb(PartitionStrategy::Lpt) < block / 2.0, "lpt vs block {block}");
-        assert!(imb(PartitionStrategy::Chunked) <= block, "chunked vs block {block}");
-        assert!(imb(PartitionStrategy::CostGuided) < block / 2.0);
-    }
-
-    #[test]
-    fn chunked_owners_are_contiguous_runs() {
-        let costs: Vec<u64> = (0..200).map(|i| (i % 13 + 1) as u64).collect();
-        let segments = Segments::whole(costs.len());
-        let owners = assign_owners(PartitionStrategy::Chunked, 4, &costs, &segments);
-        // Owner changes at most once per chunk boundary: the number of
-        // runs is bounded by the number of chunks.
-        let runs = owners.windows(2).filter(|w| w[0] != w[1]).count() + 1;
-        let chunk = costs.len().div_ceil(CHUNKS_PER_RANK * 4).max(1);
-        assert!(runs <= costs.len().div_ceil(chunk));
+        assert!(
+            imb(PartitionStrategy::CostGuided) < block / 2.0,
+            "vs block {block}"
+        );
     }
 
     #[test]
@@ -434,8 +409,6 @@ mod tests {
                 Just(PartitionStrategy::Block),
                 Just(PartitionStrategy::SegmentOwner),
                 Just(PartitionStrategy::SelfScheduling),
-                Just(PartitionStrategy::Lpt),
-                Just(PartitionStrategy::Chunked),
                 Just(PartitionStrategy::CostGuided),
             ],
         ) {

@@ -24,51 +24,25 @@
 //! property the paper engineers via block-split PRNG streams, which
 //! integration tests assert across engines.
 
+use crate::core::{collect_kernel, core_methods, run_kernel, EngineCore, Event};
 use crate::cost::{Collective, CostModel};
-use crate::costmodel::PartitionGovernor;
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
-use crate::cancel::{check_cancel, CancelToken};
-use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
-use crate::hooks;
-use crate::metrics::{PhaseReport, RunReport};
-use crate::partition::{assign_owners, block_range, PartitionStrategy};
+use crate::costmodel::{PartitionGovernor, Plan};
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
+use crate::fault::FaultPlan;
+use crate::partition::{assign_owners, PartitionStrategy};
 use crate::segments::Segments;
-use mn_obs::{FlightEvent, Recorder, SnapshotStash};
+use mn_obs::Recorder;
 
 /// Virtual-SPMD engine with per-rank clocks and τ/μ collective costs.
 #[derive(Debug, Clone)]
 pub struct SimEngine {
     p: usize,
     cost: CostModel,
-    /// Partitioning state. The oracle strategies (SegmentOwner /
-    /// SelfScheduling) keep their historical semantics — owners from
-    /// *true* per-item costs, a luxury only the simulator has; the
-    /// predictor strategies (Lpt / Chunked / CostGuided) plan from the
-    /// governor's calibrated model, exactly as the real engines must.
-    gov: PartitionGovernor,
-    /// Per-rank busy seconds accumulated in the current phase.
-    busy: Vec<f64>,
-    /// Communication seconds accumulated in the current phase (charged
-    /// to every rank equally — collectives are synchronizing).
-    comm: f64,
-    /// Elapsed simulated seconds accumulated in the current phase.
-    elapsed: f64,
-    phases: Vec<PhaseReport>,
-    current_phase: Option<String>,
-    obs: Recorder,
-    /// The simulated clock: total bulk-synchronous elapsed time since
-    /// engine creation. Spans are stamped with this, so the trace
-    /// timeline is in *simulated* seconds, as the ISSUE requires.
-    sim_now: f64,
-    /// Engine-event clock for deterministic fault injection: every
-    /// `dist_map*`/`collective`/`replicated` call is one event,
-    /// attributed to rank 0 (the single-process convention).
-    faults: FaultClock,
-    /// Last-snapshot stash filled just before an injected crash (the
-    /// handle is an `Arc`: clone it before `catch_unwind`).
-    stash: SnapshotStash,
-    /// Cooperative cancellation token, observed at every engine event.
-    cancel: Option<CancelToken>,
+    /// Shared per-event plumbing, on the simulated clock: the total
+    /// bulk-synchronous elapsed time since engine creation. Spans are
+    /// stamped with it, so the trace timeline and the phase report are
+    /// in *simulated* seconds.
+    core: EngineCore,
 }
 
 impl SimEngine {
@@ -84,17 +58,7 @@ impl SimEngine {
         Self {
             p,
             cost,
-            gov: PartitionGovernor::new(PartitionStrategy::Block),
-            busy: vec![0.0; p],
-            comm: 0.0,
-            elapsed: 0.0,
-            phases: Vec::new(),
-            current_phase: None,
-            obs: Recorder::new(p),
-            sim_now: 0.0,
-            faults: FaultClock::new(FaultPlan::new(), 0),
-            stash: SnapshotStash::new(),
-            cancel: None,
+            core: EngineCore::simulated(Recorder::new(p)),
         }
     }
 
@@ -102,60 +66,26 @@ impl SimEngine {
     /// [`crate::fault::FaultPlan`]). A scheduled `Kill` unwinds with
     /// [`crate::fault::InjectedCrash`] at that engine event.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultClock::new(plan, 0);
+        self.core.set_fault_plan(plan);
         self
     }
 
     /// Engine events counted so far (for choosing sweep fault points).
     pub fn fault_events(&self) -> u64 {
-        self.faults.events()
-    }
-
-    /// Tick the fault clock; on a scheduled `Kill` (or `Die`, which
-    /// degrades to `Kill` semantics off the proc transport), record the
-    /// injection, stash a final snapshot, and unwind with
-    /// [`InjectedCrash`]. `Delay`/`Drop` are fabric-level actions the
-    /// simulation has no channel to apply them to; they stay ignored.
-    fn tick_fault(&mut self) {
-        check_cancel(self.cancel.as_ref(), self.faults.events());
-        match self.faults.tick() {
-            Some(action @ (FaultAction::Kill | FaultAction::Die)) => {
-                let event = self.faults.events();
-                self.obs.flight_event(FlightEvent::FaultInjected {
-                    action: action.label().to_string(),
-                    event,
-                });
-                self.stash.store(self.obs.snapshot(self.sim_now));
-                std::panic::panic_any(InjectedCrash {
-                    rank: self.faults.rank(),
-                    event,
-                });
-            }
-            Some(FaultAction::Delay(_)) | Some(FaultAction::Drop) | None => {}
-        }
-    }
-
-    /// Synthesize the message-fabric traffic of the all-gather that
-    /// ends every `dist_map` step: each non-root rank ships its block
-    /// to rank 0 along the binomial reduce tree's leaf edges, then the
-    /// concatenation is broadcast. Byte-for-byte the schedule
-    /// [`crate::msg::collectives::allgatherv`] executes, so the merged
-    /// sim matrix equals the merged msg matrix for the same program.
-    fn record_gather_traffic(&mut self, counts: &[usize], esize: u64) {
-        self.obs.comm_matrix().record_allgatherv(counts, esize);
+        self.core.fault_events()
     }
 
     /// Select the partitioning strategy (ablation hook; the default is
     /// the paper's block split).
     pub fn with_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.gov.set_strategy(strategy);
+        self.core.gov.set_strategy(strategy);
         self
     }
 
     /// The partitioning governor (strategy, cost model, feedback
     /// state) — read access for tests and benches.
     pub fn governor(&self) -> &PartitionGovernor {
-        &self.gov
+        &self.core.gov
     }
 
     /// The active cost model.
@@ -163,139 +93,16 @@ impl SimEngine {
         &self.cost
     }
 
-    fn close_phase(&mut self) {
-        if let Some(name) = self.current_phase.take() {
-            let busy_max = self.busy.iter().copied().fold(0.0, f64::max);
-            let busy_avg = self.busy.iter().sum::<f64>() / self.p as f64;
-            self.phases.push(PhaseReport {
-                name,
-                busy_max_s: busy_max,
-                busy_avg_s: busy_avg,
-                comm_s: self.comm,
-                elapsed_s: self.elapsed,
-            });
-            self.busy.iter_mut().for_each(|b| *b = 0.0);
-            self.comm = 0.0;
-            self.elapsed = 0.0;
-        }
-    }
-
     /// Account one bulk-synchronous step: per-rank busy seconds plus a
-    /// synchronizing collective of `comm_s` seconds. Also advances the
-    /// simulated clock and charges the open observability spans, so
-    /// simulated time flows into the same span tree wall-clock engines
-    /// fill.
+    /// synchronizing collective of `comm_s` seconds. Advances the
+    /// simulated clock and charges the open spans, so simulated time
+    /// flows into the same span tree wall-clock engines fill.
     fn account_step(&mut self, step_busy: &[f64], comm_s: f64) {
         debug_assert_eq!(step_busy.len(), self.p);
         let step_max = step_busy.iter().copied().fold(0.0, f64::max);
-        for (b, &s) in self.busy.iter_mut().zip(step_busy) {
-            *b += s;
-        }
-        self.comm += comm_s;
-        self.elapsed += step_max + comm_s;
-        self.sim_now += step_max + comm_s;
-        self.obs.charge_busy(step_busy);
-        self.obs.charge_comm(comm_s);
-    }
-
-    fn map_with_owners<T: Send>(
-        &mut self,
-        owners: Option<&[usize]>,
-        n_items: usize,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        let mut out = Vec::with_capacity(n_items);
-        let mut step_busy = vec![0.0f64; self.p];
-        let mut counts = vec![0usize; self.p];
-        match owners {
-            None => {
-                // Paper's block partition: contiguous ranges.
-                for (r, busy) in step_busy.iter_mut().enumerate() {
-                    let (lo, hi) = block_range(n_items, self.p, r);
-                    counts[r] = hi - lo;
-                    for i in lo..hi {
-                        let (value, units) = f(i);
-                        *busy += self.cost.compute_s(units);
-                        out.push(value);
-                    }
-                }
-            }
-            Some(owners) => {
-                for (i, &owner) in owners.iter().enumerate() {
-                    let (value, units) = f(i);
-                    step_busy[owner] += self.cost.compute_s(units);
-                    counts[owner] += 1;
-                    out.push(value);
-                }
-            }
-        }
-        let comm = self
-            .cost
-            .collective_s(Collective::AllGather, n_items * words_per_item, self.p);
-        self.account_step(&step_busy, comm);
-        self.record_gather_traffic(&counts, std::mem::size_of::<T>() as u64);
-        out
-    }
-
-    /// Charge one bulk-synchronous step in which each item's cost goes
-    /// to the rank the active (non-block) *oracle* strategy assigns it
-    /// to, using the true measured costs — a luxury only the simulator
-    /// has. `esize` is the wire size of one result, for the traffic
-    /// matrix.
-    fn attribute_by_owner(
-        &mut self,
-        costs: &[u64],
-        segments: &Segments,
-        words_per_item: usize,
-        esize: u64,
-    ) {
-        let owners = assign_owners(self.gov.strategy(), self.p, costs, segments);
-        self.attribute_with_owners(&owners, costs, words_per_item, esize);
-    }
-
-    /// Charge one bulk-synchronous step under an explicit owner
-    /// assignment (the predictor strategies plan owners before seeing
-    /// true costs, then the true costs land on the planned ranks).
-    fn attribute_with_owners(
-        &mut self,
-        owners: &[usize],
-        costs: &[u64],
-        words_per_item: usize,
-        esize: u64,
-    ) {
-        let mut step_busy = vec![0.0f64; self.p];
-        let mut counts = vec![0usize; self.p];
-        for (&owner, &c) in owners.iter().zip(costs) {
-            step_busy[owner] += self.cost.compute_s(c);
-            counts[owner] += 1;
-        }
-        let comm = self
-            .cost
-            .collective_s(Collective::AllGather, costs.len() * words_per_item, self.p);
-        self.account_step(&step_busy, comm);
-        self.record_gather_traffic(&counts, esize);
-    }
-
-    /// The predictor-strategy step shared by all three map entry
-    /// points: plan owners from the governor's calibrated model,
-    /// evaluate every item (the simulator executes the union of the
-    /// work once), attribute the true costs to the planned owners, and
-    /// feed the realized units back into the model. The gathered
-    /// element is the costed pair `(T, u64)` — the wire format the msg
-    /// engine ships in strategy mode so calibration inputs replicate.
-    fn predictor_step<T>(&mut self, segments: &Segments, words_per_item: usize, costs: Vec<u64>) {
-        let owners = self
-            .gov
-            .plan(self.p, segments)
-            .expect("predictor strategies always plan");
-        self.attribute_with_owners(
-            &owners,
-            &costs,
-            words_per_item,
-            std::mem::size_of::<(T, u64)>() as u64,
-        );
-        self.gov.observe_map(self.p, segments, &costs);
+        self.core.advance(step_max + comm_s);
+        self.core.obs.charge_busy(step_busy);
+        self.core.obs.charge_comm(comm_s);
     }
 }
 
@@ -304,82 +111,15 @@ impl ParEngine for SimEngine {
         self.p
     }
 
-    fn dist_map<T: Wire>(
-        &mut self,
-        n_items: usize,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        if matches!(
-            self.gov.strategy(),
-            PartitionStrategy::Lpt | PartitionStrategy::Chunked | PartitionStrategy::CostGuided
-        ) {
-            // Flat lists have no segment structure: plan over one
-            // whole-list segment. The segment-aware oracle strategies
-            // keep ignoring the plain map, as before.
-            return self.dist_map_segmented(&Segments::whole(n_items), words_per_item, f);
-        }
-        self.tick_fault();
-        hooks::install_thread_hooks(self.obs.flight());
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.sim_now;
-        self.obs.telemetry_tick(now);
-        self.map_with_owners(None, n_items, words_per_item, f)
-    }
-
-    fn dist_map_segmented<T: Wire>(
-        &mut self,
-        segments: &Segments,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        match self.gov.strategy() {
-            PartitionStrategy::Block => self.dist_map(segments.n_items(), words_per_item, f),
-            PartitionStrategy::Lpt | PartitionStrategy::Chunked | PartitionStrategy::CostGuided => {
-                let n = segments.n_items();
-                self.tick_fault();
-                hooks::install_thread_hooks(self.obs.flight());
-                self.obs.count_dist_map(n, words_per_item);
-                let now = self.sim_now;
-                self.obs.telemetry_tick(now);
-                let mut values = Vec::with_capacity(n);
-                let mut costs = Vec::with_capacity(n);
-                for i in 0..n {
-                    let (v, c) = f(i);
-                    values.push(v);
-                    costs.push(c);
-                }
-                self.predictor_step::<T>(segments, words_per_item, costs);
-                values
-            }
-            PartitionStrategy::SegmentOwner | PartitionStrategy::SelfScheduling => {
-                // Both non-default strategies need item costs before the
-                // assignment, so evaluate first (costs are deterministic
-                // functions of the item), then attribute.
-                let n = segments.n_items();
-                self.tick_fault();
-                hooks::install_thread_hooks(self.obs.flight());
-                self.obs.count_dist_map(n, words_per_item);
-                let now = self.sim_now;
-                self.obs.telemetry_tick(now);
-                let mut values = Vec::with_capacity(n);
-                let mut costs = Vec::with_capacity(n);
-                for i in 0..n {
-                    let (v, c) = f(i);
-                    values.push(v);
-                    costs.push(c);
-                }
-                self.attribute_by_owner(
-                    &costs,
-                    segments,
-                    words_per_item,
-                    std::mem::size_of::<T>() as u64,
-                );
-                values
-            }
-        }
-    }
-
+    /// The simulator executes the union of the work once. Owners come
+    /// from the governor's plan (the paper's block split by default),
+    /// and each virtual rank runs the kernel over its owned runs, so a
+    /// block boundary that bisects a segment is honored exactly as on
+    /// the real engines. The self-scheduling *oracle* is the exception:
+    /// it deals items by their true costs — a luxury only the
+    /// simulator has — so it evaluates whole segments first. Each item's
+    /// cost is then charged to its owner as one bulk-synchronous step
+    /// ending in the implied all-gather.
     fn dist_map_segmented_batch<T: Wire>(
         &mut self,
         segments: &Segments,
@@ -387,167 +127,92 @@ impl ParEngine for SimEngine {
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
         let n = segments.n_items();
-        self.tick_fault();
-        hooks::install_thread_hooks(self.obs.flight());
-        self.obs.count_dist_map(n, words_per_item);
-        let now = self.sim_now;
-        self.obs.telemetry_tick(now);
-        match self.gov.strategy() {
-            PartitionStrategy::Lpt | PartitionStrategy::Chunked | PartitionStrategy::CostGuided => {
-                // Evaluate whole segments once (the batched kernel
-                // amortizes per-segment setup), then attribute true
-                // costs to the governor-planned owners and calibrate.
-                let mut values = Vec::with_capacity(n);
-                let mut costs = Vec::with_capacity(n);
-                let mut buf: Vec<Costed<T>> = Vec::new();
-                for (seg, range) in segments.iter() {
-                    f(seg, range, &mut buf);
-                    for (v, c) in buf.drain(..) {
-                        values.push(v);
-                        costs.push(c);
-                    }
-                }
-                self.predictor_step::<T>(segments, words_per_item, costs);
-                values
+        self.core.event(Event::Map {
+            items: n,
+            words: words_per_item,
+        });
+        let p = self.p;
+        let strategy = self.core.gov.strategy();
+        let (plan, blocks) = if strategy == PartitionStrategy::SelfScheduling {
+            let mut results = Vec::with_capacity(n);
+            run_kernel(segments.iter(), f, |result| results.push(result));
+            let costs: Vec<u64> = results.iter().map(|&(_, c)| c).collect();
+            let owners = assign_owners(strategy, p, &costs, segments);
+            let mut blocks: Vec<Vec<_>> = (0..p).map(|_| Vec::new()).collect();
+            for (result, &owner) in results.into_iter().zip(&owners) {
+                blocks[owner].push(result);
             }
-            PartitionStrategy::Block => {
-                // The paper's block partition of the flat list. A block
-                // boundary bisecting a segment is honored: each virtual
-                // rank executes the kernel on its clipped sub-ranges
-                // and is charged its items' reported costs, exactly as
-                // with the per-item map.
-                let mut out = Vec::with_capacity(n);
-                let mut buf: Vec<Costed<T>> = Vec::new();
-                let mut step_busy = vec![0.0f64; self.p];
-                let mut counts = vec![0usize; self.p];
-                for (r, busy) in step_busy.iter_mut().enumerate() {
-                    let (lo, hi) = block_range(n, self.p, r);
-                    counts[r] = hi - lo;
-                    for (seg, range) in segments.overlapping(lo, hi) {
-                        f(seg, range, &mut buf);
-                        for (value, units) in buf.drain(..) {
-                            *busy += self.cost.compute_s(units);
-                            out.push(value);
-                        }
-                    }
-                }
-                let comm = self
-                    .cost
-                    .collective_s(Collective::AllGather, n * words_per_item, self.p);
-                self.account_step(&step_busy, comm);
-                self.record_gather_traffic(&counts, std::mem::size_of::<T>() as u64);
-                out
-            }
-            PartitionStrategy::SegmentOwner | PartitionStrategy::SelfScheduling => {
-                // Evaluate whole segments once, then attribute each
-                // item's cost to its strategy-assigned owner.
-                let mut values = Vec::with_capacity(n);
-                let mut costs = Vec::with_capacity(n);
-                let mut buf: Vec<Costed<T>> = Vec::new();
-                for (seg, range) in segments.iter() {
-                    f(seg, range, &mut buf);
-                    for (v, c) in buf.drain(..) {
-                        values.push(v);
-                        costs.push(c);
-                    }
-                }
-                self.attribute_by_owner(
-                    &costs,
-                    segments,
-                    words_per_item,
-                    std::mem::size_of::<T>() as u64,
-                );
-                values
-            }
-        }
+            (Plan::from_owners(p, owners, segments), blocks)
+        } else {
+            let plan = self.core.gov.plan(p, segments);
+            let blocks = (0..p)
+                .map(|rank| collect_kernel(plan.runs(rank), f))
+                .collect();
+            (plan, blocks)
+        };
+        let step_busy: Vec<f64> = blocks
+            .iter()
+            .map(|block| {
+                block
+                    .iter()
+                    .fold(0.0, |busy, &(_, cost)| busy + self.cost.compute_s(cost))
+            })
+            .collect();
+        let counts: Vec<usize> = blocks.iter().map(Vec::len).collect();
+        let comm = self
+            .cost
+            .collective_s(Collective::AllGather, n * words_per_item, p);
+        self.account_step(&step_busy, comm);
+        // Synthesize the traffic of the all-gather: byte-for-byte the
+        // schedule `msg::collectives::allgatherv` executes, with the
+        // element the msg engine ships (costed pairs when the strategy
+        // calibrates), so the sim and msg matrices agree.
+        let esize = if self.core.gov.calibrating() {
+            std::mem::size_of::<(T, u64)>()
+        } else {
+            std::mem::size_of::<T>()
+        };
+        self.core
+            .obs
+            .comm_matrix()
+            .record_allgatherv(&counts, esize as u64);
+        let results = plan.reorder(blocks.into_iter().flatten().collect());
+        self.core.calibrate(p, segments, results)
     }
 
     fn collective(&mut self, op: Collective, words: usize) {
-        self.tick_fault();
-        self.obs.count_collective(words);
+        self.core.event(Event::Collective { words });
         let comm = self.cost.collective_s(op, words, self.p);
         let zeros = vec![0.0; self.p];
         self.account_step(&zeros, comm);
         // The msg engine realizes `collective` as a zero-payload
         // barrier (reduce + broadcast of a unit value); synthesize the
         // same edges so the matrices agree.
-        self.obs.comm_matrix().record_allreduce(0);
-        let now = self.sim_now;
-        self.obs.telemetry_tick(now);
+        self.core.obs.comm_matrix().record_allreduce(0);
     }
 
     fn replicated(&mut self, work_units: u64) {
-        self.tick_fault();
-        self.obs.count_replicated(work_units);
+        self.core.event(Event::Replicated { units: work_units });
         let s = self.cost.compute_s(work_units);
         let busy = vec![s; self.p];
         self.account_step(&busy, 0.0);
-    }
-
-    fn begin_phase(&mut self, name: &str) {
-        self.close_phase();
-        self.current_phase = Some(name.to_string());
-        self.obs.begin_phase(name, self.sim_now);
-        let now = self.sim_now;
-        self.obs.telemetry_tick(now);
-    }
-
-    fn report(&mut self) -> RunReport {
-        self.close_phase();
-        self.obs.finish(self.sim_now);
-        hooks::clear_thread_hooks();
-        RunReport {
-            nranks: self.p,
-            phases: std::mem::take(&mut self.phases),
-        }
-    }
-
-    fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    fn obs_mut(&mut self) -> &mut Recorder {
-        &mut self.obs
-    }
-
-    fn death_stash(&self) -> SnapshotStash {
-        self.stash.clone()
-    }
-
-    fn now_s(&self) -> f64 {
-        self.sim_now
-    }
-
-    fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.gov.set_strategy(strategy);
-    }
-
-    fn partition_strategy(&self) -> PartitionStrategy {
-        self.gov.strategy()
     }
 
     fn partition_feedback(&mut self) {
         // Simulated busy imbalance of the current phase window.
         // Engage-only hint (see the governor's ratchet); the simulated
         // clock is deterministic, so this is also deterministic.
-        let busy_max = self.busy.iter().copied().fold(0.0, f64::max);
-        let busy_avg = self.busy.iter().sum::<f64>() / self.p as f64;
-        let measured = if busy_avg > 0.0 {
-            Some((busy_max - busy_avg) / busy_avg)
-        } else {
-            None
-        };
-        self.gov.feedback(measured);
+        let measured = self.core.phase_imbalance();
+        self.core.gov.feedback(measured);
     }
 
-    fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
+    core_methods!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunReport;
 
     /// A map whose item costs are uniform.
     fn uniform_run(p: usize, items: usize, unit: u64) -> RunReport {

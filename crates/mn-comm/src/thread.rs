@@ -13,43 +13,20 @@
 //! same report shape as the other engines, so the bench harness can
 //! drive any engine uniformly.
 
-use crate::cancel::{check_cancel, CancelToken};
+use crate::core::{collect_kernel, core_methods, timed, EngineCore, Event};
 use crate::cost::Collective;
-use crate::costmodel::{owner_runs, PartitionGovernor};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
-use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
+use crate::costmodel::{PartitionGovernor, Run};
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
+use crate::fault::FaultPlan;
 use crate::hooks;
-use crate::metrics::{PhaseReport, RunReport};
-use crate::partition::{block_range, PartitionStrategy};
 use crate::segments::Segments;
-use mn_obs::{FlightEvent, Recorder, SnapshotStash};
-use parking_lot::Mutex;
-use std::time::Instant;
+use mn_obs::Recorder;
 
 /// Multi-threaded engine over `p` rank-threads.
 #[derive(Debug)]
 pub struct ThreadEngine {
     p: usize,
-    /// Per-rank busy seconds in the current phase.
-    busy: Vec<f64>,
-    phases: Vec<PhaseReport>,
-    current: Option<(String, Instant)>,
-    obs: Recorder,
-    epoch: Instant,
-    /// Engine-event clock for deterministic fault injection: every
-    /// `dist_map*`/`collective`/`replicated` call is one event,
-    /// attributed to rank 0 (the single-process convention).
-    faults: FaultClock,
-    /// Last-snapshot stash filled just before an injected crash (the
-    /// handle is an `Arc`: clone it before `catch_unwind`).
-    stash: SnapshotStash,
-    /// Partitioning state: configured strategy, online cost model, and
-    /// the imbalance-feedback ratchet. Block (the default) takes the
-    /// unchanged fast paths below; any other strategy routes through
-    /// [`ThreadEngine::map_owners`].
-    gov: PartitionGovernor,
-    /// Cooperative cancellation token, observed at every engine event.
-    cancel: Option<CancelToken>,
+    core: EngineCore,
 }
 
 impl ThreadEngine {
@@ -58,168 +35,27 @@ impl ThreadEngine {
         assert!(p >= 1, "need at least one rank");
         Self {
             p,
-            busy: vec![0.0; p],
-            phases: Vec::new(),
-            current: None,
-            obs: Recorder::new(p),
-            epoch: Instant::now(),
-            faults: FaultClock::new(FaultPlan::new(), 0),
-            stash: SnapshotStash::new(),
-            gov: PartitionGovernor::new(PartitionStrategy::Block),
-            cancel: None,
+            core: EngineCore::new(Recorder::new(p)),
         }
     }
 
     /// The partitioning governor (strategy, cost model, feedback
     /// state) — read access for tests and benches.
     pub fn governor(&self) -> &PartitionGovernor {
-        &self.gov
+        &self.core.gov
     }
 
     /// Attach a deterministic fault plan (rank-0 entries apply; see
     /// [`crate::fault::FaultPlan`]). A scheduled `Kill` unwinds with
     /// [`crate::fault::InjectedCrash`] at that engine event.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultClock::new(plan, 0);
+        self.core.set_fault_plan(plan);
         self
     }
 
     /// Engine events counted so far (for choosing sweep fault points).
     pub fn fault_events(&self) -> u64 {
-        self.faults.events()
-    }
-
-    /// Tick the fault clock; on a scheduled `Kill` (or `Die`, which
-    /// degrades to `Kill` semantics off the proc transport), record the
-    /// injection, stash a final snapshot, and unwind with
-    /// [`InjectedCrash`]. `Delay`/`Drop` are fabric-level actions with
-    /// no shared-memory meaning and stay ignored.
-    fn tick_fault(&mut self) {
-        check_cancel(self.cancel.as_ref(), self.faults.events());
-        match self.faults.tick() {
-            Some(action @ (FaultAction::Kill | FaultAction::Die)) => {
-                let event = self.faults.events();
-                self.obs.flight_event(FlightEvent::FaultInjected {
-                    action: action.label().to_string(),
-                    event,
-                });
-                self.stash.store(self.obs.snapshot(self.now_s()));
-                std::panic::panic_any(InjectedCrash {
-                    rank: self.faults.rank(),
-                    event,
-                });
-            }
-            Some(FaultAction::Delay(_)) | Some(FaultAction::Drop) | None => {}
-        }
-    }
-
-    fn close_phase(&mut self) {
-        if let Some((name, start)) = self.current.take() {
-            let elapsed = start.elapsed().as_secs_f64();
-            let busy_max = self.busy.iter().copied().fold(0.0, f64::max);
-            let busy_avg = self.busy.iter().sum::<f64>() / self.p as f64;
-            self.phases.push(PhaseReport {
-                name,
-                busy_max_s: busy_max,
-                busy_avg_s: busy_avg,
-                comm_s: 0.0,
-                elapsed_s: elapsed,
-            });
-            self.busy.iter_mut().for_each(|b| *b = 0.0);
-        }
-    }
-
-    /// Owner-partitioned map: the governor plans a per-item owner
-    /// vector, each rank-thread computes its owned runs, and the main
-    /// thread reassembles results in item order (the shared-memory
-    /// analogue of the owner-gather + reorder on the msg engine).
-    /// Measured per-item units are fed back into the governor's cost
-    /// model. Counters are charged exactly as the block path charges
-    /// them — partitioning is invisible to the deterministic counters.
-    fn map_owners<T: Wire>(
-        &mut self,
-        segments: &Segments,
-        words_per_item: usize,
-        f: SegmentBatchFn<'_, T>,
-    ) -> Vec<T> {
-        let n_items = segments.n_items();
-        self.tick_fault();
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let p = self.p;
-        if p == 1 || n_items <= 1 {
-            hooks::install_thread_hooks(self.obs.flight());
-            let start = Instant::now();
-            let mut out = Vec::with_capacity(n_items);
-            let mut costs = Vec::with_capacity(n_items);
-            let mut buf: Vec<Costed<T>> = Vec::new();
-            for (seg, range) in segments.iter() {
-                f(seg, range, &mut buf);
-                for (value, cost) in buf.drain(..) {
-                    out.push(value);
-                    costs.push(cost);
-                }
-            }
-            let dt = start.elapsed().as_secs_f64();
-            self.busy[0] += dt;
-            self.obs.charge_busy_rank(0, dt);
-            self.gov.observe_map(p, segments, &costs);
-            return out;
-        }
-
-        let owners = self
-            .gov
-            .plan(p, segments)
-            .expect("map_owners is only reached for planning strategies");
-        let plans = owner_runs(p, &owners, segments);
-        let flight = self.obs.flight();
-        let busy_acc: Mutex<Vec<f64>> = Mutex::new(vec![0.0; p]);
-        let mut blocks: Vec<Vec<Costed<T>>> = Vec::with_capacity(p);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (r, plan) in plans.iter().enumerate() {
-                let busy_acc = &busy_acc;
-                let flight = flight.clone();
-                handles.push(scope.spawn(move || {
-                    hooks::install_thread_hooks(flight);
-                    let start = Instant::now();
-                    let mut block: Vec<Costed<T>> = Vec::new();
-                    let mut buf: Vec<Costed<T>> = Vec::new();
-                    for (seg, range) in plan {
-                        f(*seg, range.clone(), &mut buf);
-                        block.append(&mut buf);
-                    }
-                    busy_acc.lock()[r] = start.elapsed().as_secs_f64();
-                    block
-                }));
-            }
-            for handle in handles {
-                blocks.push(handle.join().expect("rank thread panicked"));
-            }
-        });
-        let extras = busy_acc.into_inner();
-        for (b, extra) in self.busy.iter_mut().zip(&extras) {
-            *b += extra;
-        }
-        self.obs.charge_busy(&extras);
-        // Scatter the per-rank blocks back to item order. Each rank
-        // produced its owned items in ascending item order, so a
-        // per-rank cursor driven by the owner vector restores the
-        // global order exactly.
-        let mut cursors: Vec<std::vec::IntoIter<Costed<T>>> =
-            blocks.into_iter().map(|b| b.into_iter()).collect();
-        let mut out = Vec::with_capacity(n_items);
-        let mut costs = Vec::with_capacity(n_items);
-        for &owner in &owners {
-            let (value, cost) = cursors[owner]
-                .next()
-                .expect("owner produced one result per owned item");
-            out.push(value);
-            costs.push(cost);
-        }
-        self.gov.observe_map(p, segments, &costs);
-        out
+        self.core.fault_events()
     }
 }
 
@@ -228,216 +64,60 @@ impl ParEngine for ThreadEngine {
         self.p
     }
 
-    fn dist_map<T: Wire>(
-        &mut self,
-        n_items: usize,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        if matches!(
-            self.gov.strategy(),
-            PartitionStrategy::Lpt | PartitionStrategy::Chunked | PartitionStrategy::CostGuided
-        ) {
-            // Flat lists have no segment structure: plan over one
-            // whole-list segment. The segment-aware oracle strategies
-            // (SegmentOwner / SelfScheduling) only apply on the
-            // segmented paths, as before.
-            let segments = Segments::whole(n_items);
-            return self.map_owners(&segments, words_per_item, &|_seg, range, out| {
-                out.extend(range.map(&f))
-            });
-        }
-        self.tick_fault();
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        if self.p == 1 || n_items <= 1 {
-            hooks::install_thread_hooks(self.obs.flight());
-            let mut out = Vec::with_capacity(n_items);
-            let start = Instant::now();
-            for i in 0..n_items {
-                out.push(f(i).0);
-            }
-            let dt = start.elapsed().as_secs_f64();
-            self.busy[0] += dt;
-            self.obs.charge_busy_rank(0, dt);
-            return out;
-        }
-
-        let p = self.p;
-        let flight = self.obs.flight();
-        let busy_acc: Mutex<Vec<f64>> = Mutex::new(vec![0.0; p]);
-        let mut blocks: Vec<Vec<T>> = Vec::with_capacity(p);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for r in 0..p {
-                let (lo, hi) = block_range(n_items, p, r);
-                let busy_acc = &busy_acc;
-                let flight = flight.clone();
-                handles.push(scope.spawn(move || {
-                    hooks::install_thread_hooks(flight);
-                    let start = Instant::now();
-                    let mut block = Vec::with_capacity(hi - lo);
-                    for i in lo..hi {
-                        block.push(f(i).0);
-                    }
-                    busy_acc.lock()[r] = start.elapsed().as_secs_f64();
-                    block
-                }));
-            }
-            for handle in handles {
-                blocks.push(handle.join().expect("rank thread panicked"));
-            }
-        });
-        let extras = busy_acc.into_inner();
-        for (b, extra) in self.busy.iter_mut().zip(&extras) {
-            *b += extra;
-        }
-        self.obs.charge_busy(&extras);
-        // Rank-order concatenation = the all-gather of Alg. 5.
-        blocks.into_iter().flatten().collect()
-    }
-
-    fn dist_map_segmented<T: Wire>(
-        &mut self,
-        segments: &Segments,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        // The default delegates to `dist_map`, which would discard the
-        // segment structure every non-block strategy plans over.
-        if self.gov.strategy() == PartitionStrategy::Block {
-            return self.dist_map(segments.n_items(), words_per_item, f);
-        }
-        self.map_owners(segments, words_per_item, &|_seg, range, out| {
-            out.extend(range.map(&f))
-        })
-    }
-
+    /// The governor plans each rank's runs (the paper's block split by
+    /// default), each rank-thread runs the kernel over its runs, and
+    /// the caller puts the blocks back in item order — the
+    /// shared-memory analogue of the msg engine's all-gather.
+    /// With one rank or at most one item the work runs inline.
     fn dist_map_segmented_batch<T: Wire>(
         &mut self,
         segments: &Segments,
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
-        if self.gov.strategy() != PartitionStrategy::Block {
-            return self.map_owners(segments, words_per_item, f);
-        }
         let n_items = segments.n_items();
-        self.tick_fault();
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        if self.p == 1 || n_items <= 1 {
-            hooks::install_thread_hooks(self.obs.flight());
-            let start = Instant::now();
-            let mut out = Vec::with_capacity(n_items);
-            let mut buf: Vec<Costed<T>> = Vec::new();
-            for (seg, range) in segments.iter() {
-                f(seg, range, &mut buf);
-                out.extend(buf.drain(..).map(|(v, _)| v));
-            }
-            let dt = start.elapsed().as_secs_f64();
-            self.busy[0] += dt;
-            self.obs.charge_busy_rank(0, dt);
-            return out;
-        }
-
-        let p = self.p;
-        let flight = self.obs.flight();
-        let busy_acc: Mutex<Vec<f64>> = Mutex::new(vec![0.0; p]);
-        let mut blocks: Vec<Vec<T>> = Vec::with_capacity(p);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for r in 0..p {
-                // The paper's block split of the flat list; block
-                // boundaries may bisect a segment, so the kernel is
-                // handed the clipped sub-ranges.
-                let (lo, hi) = block_range(n_items, p, r);
-                let busy_acc = &busy_acc;
-                let flight = flight.clone();
-                handles.push(scope.spawn(move || {
-                    hooks::install_thread_hooks(flight);
-                    let start = Instant::now();
-                    let mut block = Vec::with_capacity(hi - lo);
-                    let mut buf: Vec<Costed<T>> = Vec::new();
-                    for (seg, range) in segments.overlapping(lo, hi) {
-                        f(seg, range, &mut buf);
-                        block.extend(buf.drain(..).map(|(v, _)| v));
-                    }
-                    busy_acc.lock()[r] = start.elapsed().as_secs_f64();
-                    block
-                }));
-            }
-            for handle in handles {
-                blocks.push(handle.join().expect("rank thread panicked"));
-            }
+        self.core.event(Event::Map {
+            items: n_items,
+            words: words_per_item,
         });
-        let extras = busy_acc.into_inner();
-        for (b, extra) in self.busy.iter_mut().zip(&extras) {
-            *b += extra;
-        }
-        self.obs.charge_busy(&extras);
-        blocks.into_iter().flatten().collect()
+        let p = self.p;
+        let plan = self.core.gov.plan(p, segments);
+        let run = |runs: &[Run]| timed(|| collect_kernel(runs, f));
+        let (blocks, busy): (Vec<_>, Vec<f64>) = if p == 1 || n_items <= 1 {
+            (0..p).map(|rank| run(plan.runs(rank))).unzip()
+        } else {
+            let flight = self.core.obs.flight();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..p)
+                    .map(|rank| {
+                        let (runs, flight) = (plan.runs(rank), flight.clone());
+                        scope.spawn(move || {
+                            hooks::install_thread_hooks(flight);
+                            run(runs)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("rank thread panicked"))
+                    .unzip()
+            })
+        };
+        self.core.obs.charge_busy(&busy);
+        let results = plan.reorder(blocks.into_iter().flatten().collect());
+        self.core.calibrate(p, segments, results)
     }
 
     fn collective(&mut self, _op: Collective, words: usize) {
         // Shared memory: collectives are free, but the logical event
         // still counts (the counter contract is engine-independent).
-        self.tick_fault();
-        self.obs.count_collective(words);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
+        self.core.event(Event::Collective { words });
     }
 
     fn replicated(&mut self, work_units: u64) {
         // Real engines do the replicated work inline in the caller;
         // only the logical units are counted.
-        self.tick_fault();
-        self.obs.count_replicated(work_units);
-    }
-
-    fn begin_phase(&mut self, name: &str) {
-        self.close_phase();
-        self.current = Some((name.to_string(), Instant::now()));
-        let now = self.now_s();
-        self.obs.begin_phase(name, now);
-        self.obs.telemetry_tick(now);
-    }
-
-    fn report(&mut self) -> RunReport {
-        self.close_phase();
-        let now = self.now_s();
-        self.obs.finish(now);
-        hooks::clear_thread_hooks();
-        RunReport {
-            nranks: self.p,
-            phases: std::mem::take(&mut self.phases),
-        }
-    }
-
-    fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    fn obs_mut(&mut self) -> &mut Recorder {
-        &mut self.obs
-    }
-
-    fn death_stash(&self) -> SnapshotStash {
-        self.stash.clone()
-    }
-
-    fn now_s(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.gov.set_strategy(strategy);
-    }
-
-    fn partition_strategy(&self) -> PartitionStrategy {
-        self.gov.strategy()
+        self.core.event(Event::Replicated { units: work_units });
     }
 
     fn partition_feedback(&mut self) {
@@ -446,24 +126,17 @@ impl ParEngine for ThreadEngine {
         // ratchet forward but never flips it back, and re-partitioning
         // only moves work between threads — results and counters are
         // unchanged by construction.
-        let busy_max = self.busy.iter().copied().fold(0.0, f64::max);
-        let busy_avg = self.busy.iter().sum::<f64>() / self.p as f64;
-        let measured = if busy_avg > 0.0 {
-            Some((busy_max - busy_avg) / busy_avg)
-        } else {
-            None
-        };
-        self.gov.feedback(measured);
+        let measured = self.core.phase_imbalance();
+        self.core.gov.feedback(measured);
     }
 
-    fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
+    core_methods!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::PartitionStrategy;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]

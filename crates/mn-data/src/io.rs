@@ -64,6 +64,15 @@ pub enum DataError {
     },
     /// The table has no header (and therefore no data) at all.
     EmptyMatrix,
+    /// A synthetic data set shape the generator cannot plant module
+    /// structure in: it needs at least two variables and two
+    /// observations.
+    SyntheticShape {
+        /// Requested number of variables.
+        n_vars: usize,
+        /// Requested number of observations.
+        n_obs: usize,
+    },
 }
 
 /// Backward-compatible name for [`DataError`].
@@ -102,6 +111,11 @@ impl fmt::Display for DataError {
                 write!(f, "line {line}: header row has no observation names")
             }
             DataError::EmptyMatrix => write!(f, "empty table: no header or data rows"),
+            DataError::SyntheticShape { n_vars, n_obs } => write!(
+                f,
+                "synthetic data set {n_vars}x{n_obs}: needs at least 2 variables \
+                 and 2 observations"
+            ),
         }
     }
 }

@@ -23,6 +23,6 @@ pub use io::{read_tsv, read_tsv_file, write_tsv, write_tsv_file, DataError, Read
 pub use matrix::Matrix;
 pub use preprocess::{filter_most_variable, impute_missing, log2_transform, standard_pipeline};
 pub use synthetic::{
-    generate, noise_only, thaliana_like, yeast_like, GroundTruth, SyntheticConfig,
+    generate, noise_only, thaliana_like, try_yeast_like, yeast_like, GroundTruth, SyntheticConfig,
     SyntheticDataset,
 };

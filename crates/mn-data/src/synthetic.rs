@@ -17,6 +17,7 @@
 //! n = 5716 — the source of the super-linear runtime growth in Fig. 4.
 
 use crate::dataset::Dataset;
+use crate::io::DataError;
 use crate::matrix::Matrix;
 use mn_rand::{Domain, MasterRng, Normal, Stream};
 use serde::{Deserialize, Serialize};
@@ -226,6 +227,20 @@ pub fn yeast_like(n_vars: usize, n_obs: usize, seed: u64) -> SyntheticDataset {
     generate(&SyntheticConfig::new(n_vars, n_obs, seed))
 }
 
+/// [`yeast_like`] for an untrusted shape (CLI flags, serve requests):
+/// a shape [`generate`] would reject is a typed
+/// [`DataError::SyntheticShape`] instead of a panic.
+pub fn try_yeast_like(
+    n_vars: usize,
+    n_obs: usize,
+    seed: u64,
+) -> Result<SyntheticDataset, DataError> {
+    if n_vars < 2 || n_obs < 2 {
+        return Err(DataError::SyntheticShape { n_vars, n_obs });
+    }
+    Ok(yeast_like(n_vars, n_obs, seed))
+}
+
 /// Preset mimicking the A. thaliana compendium's shape (18373 × 5102):
 /// relatively more modules and regulators per variable than yeast.
 pub fn thaliana_like(n_vars: usize, n_obs: usize, seed: u64) -> SyntheticDataset {
@@ -248,6 +263,21 @@ pub fn noise_only(n_vars: usize, n_obs: usize, seed: u64) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_yeast_like_rejects_degenerate_shapes() {
+        for (n, m) in [(1usize, 5usize), (5, 1), (0, 0), (1, 1)] {
+            assert!(
+                matches!(
+                    try_yeast_like(n, m, 1),
+                    Err(DataError::SyntheticShape { n_vars, n_obs }) if (n_vars, n_obs) == (n, m)
+                ),
+                "{n}x{m}"
+            );
+        }
+        let ok = try_yeast_like(2, 2, 1).expect("smallest valid shape");
+        assert_eq!((ok.dataset.n_vars(), ok.dataset.n_obs()), (2, 2));
+    }
 
     #[test]
     fn dimensions_and_truth_shape() {

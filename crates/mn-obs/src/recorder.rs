@@ -301,6 +301,21 @@ impl Recorder {
         self.counters.get(counter).copied().unwrap_or(0)
     }
 
+    /// The closed spans so far, in completion order.
+    pub fn spans(&self) -> &[SpanRecord] {
+        &self.spans
+    }
+
+    /// Per-rank busy seconds of the open phase (the depth-1 span), or
+    /// of the root span before the first phase; empty once
+    /// [`Recorder::finish`] has closed everything.
+    pub fn phase_busy(&self) -> &[f64] {
+        self.stack
+            .get(1)
+            .or(self.stack.first())
+            .map_or(&[], |span| &span.busy_s)
+    }
+
     /// All counters, by name. Checkpointed execution snapshots this
     /// around each unit of work to persist the unit's exact counter
     /// deltas (see `monet::checkpoint`).

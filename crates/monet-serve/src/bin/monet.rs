@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! monet --input expression.tsv [--engine serial|threads:<p>|sim:<p>|msg:<p>|proc:<p>]
-//!       [--partition block|segment-owner|self-scheduling|lpt|chunked|cost-guided]
+//!       [--partition block|segment-owner|self-scheduling|cost-guided]
 //!       [--seed N] [--ganesh-runs G] [--update-steps U]
 //!       [--init-clusters K0] [--trees R] [--splits-per-node J]
 //!       [--sampling-steps S] [--threshold T] [--reference]
@@ -183,7 +183,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: monet --input <expression.tsv> | --synthetic <n,m>\n\
          \x20      [--engine serial|threads:<p>|sim:<p>|msg:<p>|proc:<p>] [--seed N]\n\
-         \x20      [--partition block|segment-owner|self-scheduling|lpt|chunked|cost-guided]\n\
+         \x20      [--partition block|segment-owner|self-scheduling|cost-guided]\n\
          \x20      [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20      [--trees R] [--splits-per-node J] [--sampling-steps S]\n\
          \x20      [--threshold T] [--reference] [--gibbs-naive] [--consensus-dense]\n\
@@ -336,7 +336,9 @@ fn load_data(opts: &Options) -> Result<Dataset, String> {
         return mn_data::read_tsv_file(path).map_err(|e| format!("reading {path}: {e}"));
     }
     let (n, m) = opts.synthetic.unwrap();
-    Ok(mn_data::synthetic::yeast_like(n, m, opts.seed).dataset)
+    mn_data::synthetic::try_yeast_like(n, m, opts.seed)
+        .map(|synthetic| synthetic.dataset)
+        .map_err(|e| e.to_string())
 }
 
 /// The data-independent part of [`build_config`]: everything except

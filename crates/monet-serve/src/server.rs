@@ -584,12 +584,9 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
         } => {
             let materialized = match data {
                 DataSpec::Synthetic { n, m, seed } => {
-                    if n == 0 || m == 0 {
-                        return Err(ServeError::BadRequest(
-                            "synthetic dataset needs n >= 1 and m >= 1".into(),
-                        ));
-                    }
-                    mn_data::synthetic::yeast_like(n, m, seed).dataset
+                    mn_data::synthetic::try_yeast_like(n, m, seed)
+                        .map_err(|e| ServeError::BadRequest(e.to_string()))?
+                        .dataset
                 }
                 DataSpec::TsvPath(path) => mn_data::read_tsv_file(&path)
                     .map_err(|e| ServeError::BadRequest(format!("reading {path}: {e}")))?,

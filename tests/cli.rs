@@ -238,6 +238,45 @@ fn cli_non_finite_input_is_a_clean_typed_error() {
     std::fs::remove_file(tsv).ok();
 }
 
+#[test]
+fn cli_degenerate_synthetic_shape_is_a_typed_data_error() {
+    // The generator needs two variables and two observations; a
+    // smaller --synthetic shape is a data error (exit 1), not a panic
+    // (exit 101).
+    for shape in ["1,5", "5,1", "0,0"] {
+        let output = Command::new(monet_bin())
+            .args(["--synthetic", shape, "--quiet"])
+            .output()
+            .expect("run monet");
+        assert_eq!(output.status.code(), Some(1), "--synthetic {shape}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("error: synthetic data set") && stderr.contains("at least 2"),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn cli_pruned_partition_strategies_are_unknown() {
+    // `lpt` and `chunked` were removed; naming one is the typed
+    // unknown-strategy usage error listing the four that remain.
+    for strategy in ["lpt", "chunked"] {
+        let output = Command::new(monet_bin())
+            .args(["--synthetic", "10,10", "--partition", strategy])
+            .output()
+            .expect("run monet");
+        assert_eq!(output.status.code(), Some(2), "--partition {strategy}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown partition strategy `{strategy}`"))
+                && stderr.contains("known: block, segment-owner, self-scheduling, cost-guided"),
+            "stderr: {stderr}"
+        );
+    }
+}
+
 /// A scratch checkpoint directory plus the common argument set the
 /// fault/resume CLI tests share.
 fn checkpoint_scenario(tag: &str) -> (PathBuf, Vec<String>) {

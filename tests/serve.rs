@@ -207,6 +207,25 @@ fn two_tenants_run_concurrently_with_consistent_accounting() {
 }
 
 #[test]
+fn degenerate_synthetic_shape_is_a_bad_request_and_serving_continues() {
+    // The generator needs two variables and two observations. A
+    // smaller shape used to panic the connection thread; it must be a
+    // typed refusal on a connection that stays usable.
+    let server = TestServer::start("synthshape", 1, 4);
+    let mut client = server.client();
+    for (n, m) in [(1usize, 5usize), (5, 1)] {
+        let refusal = err(client.register_synthetic("t", "tiny", n, m, 7));
+        assert_eq!(refusal.kind(), "bad-request", "{n}x{m}");
+        assert!(refusal.to_string().contains("at least 2"), "{refusal}");
+    }
+    ok(client.ping());
+    let reply = ok(client.register_synthetic("t", "small", 2, 2, 7));
+    assert_eq!(reply["n_vars"].as_u64(), Some(2));
+    ok(server.client().ping());
+    server.shutdown();
+}
+
+#[test]
 fn cancellation_backpressure_and_unknowns_are_typed() {
     let server = TestServer::start("cancel", 1, 1);
     let mut client = server.client();

@@ -92,16 +92,6 @@ pub trait Fabric {
 /// took delivery of.
 type Packet = (&'static str, u64, Box<dyn Any + Send>);
 
-/// Environment variable that sets the default receive timeout (in
-/// milliseconds) for fabrics built with [`fabric`]. Unset or `0`
-/// means block forever (the pre-fault-tolerance behavior).
-pub const RECV_TIMEOUT_ENV: &str = "MN_RECV_TIMEOUT_MS";
-
-fn env_recv_timeout() -> Option<Duration> {
-    let ms: u64 = std::env::var(RECV_TIMEOUT_ENV).ok()?.trim().parse().ok()?;
-    (ms > 0).then(|| Duration::from_millis(ms))
-}
-
 /// Observability hooks attachable to an endpoint: the owning rank's
 /// flight recorder (per-message send/recv/fault events) and
 /// communication matrix (sender-side traffic accounting). `muted`
@@ -380,11 +370,10 @@ impl Fabric for Endpoint {
     }
 }
 
-/// Build a fully connected fabric of `p` endpoints. The receive
-/// timeout defaults to blocking forever, overridable via the
-/// [`RECV_TIMEOUT_ENV`] environment variable.
+/// Build a fully connected fabric of `p` endpoints whose receives
+/// block forever; [`fabric_with_faults`] takes a receive timeout.
 pub fn fabric(p: usize) -> Vec<Endpoint> {
-    fabric_with_faults(p, FaultPlan::new(), env_recv_timeout())
+    fabric_with_faults(p, FaultPlan::new(), None)
 }
 
 /// Build a fabric with an attached [`FaultPlan`] and receive timeout.

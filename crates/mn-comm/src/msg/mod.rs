@@ -25,4 +25,4 @@ pub use engine::{
     spmd_allgatherv, spmd_allreduce, spmd_run, spmd_run_faulty, spmd_run_faulty_recorded,
     spmd_worker_engine, SpmdCapture, SpmdEngine,
 };
-pub use fabric::{fabric, fabric_with_faults, Endpoint, Fabric, RECV_TIMEOUT_ENV};
+pub use fabric::{fabric, fabric_with_faults, Endpoint, Fabric};

@@ -1,6 +1,6 @@
 //! Multi-process transport: the msg fabric over real OS processes.
 //!
-//! The in-process fabric ([`super::fabric`]) runs every rank as a
+//! The in-process fabric ([`super::fabric()`]) runs every rank as a
 //! thread of one process, so fault drills only ever *simulate* rank
 //! death. This module is the honest-hardware path (ROADMAP item 3):
 //! each rank is a supervised child process, messages are serde-framed
@@ -65,43 +65,19 @@ use std::time::{Duration, Instant};
 /// never spawns is an error, not a hang.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default heartbeat interval (see [`heartbeat_interval`]).
+/// Heartbeat interval: every worker beats this often, and the
+/// supervisor's stall monitor polls at the same cadence.
 pub const DEFAULT_HEARTBEAT_MS: u64 = 100;
 
-/// Default stall-detection bound: a worker whose heartbeat is older
-/// than this is declared dead (and killed). EOF detection is
-/// independent of this bound — a SIGKILLed worker is detected the
-/// moment the kernel closes its socket.
+/// Stall-detection bound: a worker whose heartbeat is older than this
+/// is declared dead (and killed). EOF detection is independent of this
+/// bound — a SIGKILLed worker is detected the moment the kernel closes
+/// its socket.
 pub const DEFAULT_HEARTBEAT_TIMEOUT_MS: u64 = 2_000;
-
-/// Environment override for the heartbeat interval (milliseconds).
-pub const HEARTBEAT_ENV: &str = "MN_PROC_HEARTBEAT_MS";
-
-/// Environment override for the stall-detection bound (milliseconds).
-pub const HEARTBEAT_TIMEOUT_ENV: &str = "MN_PROC_HEARTBEAT_TIMEOUT_MS";
 
 /// Sanity cap on a single frame (1 GiB) — a corrupt length prefix must
 /// not trigger a giant allocation.
 const MAX_FRAME: u32 = 1 << 30;
-
-fn env_ms(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(default)
-}
-
-/// The heartbeat interval in force ([`HEARTBEAT_ENV`] or the default).
-pub fn heartbeat_interval() -> Duration {
-    Duration::from_millis(env_ms(HEARTBEAT_ENV, DEFAULT_HEARTBEAT_MS))
-}
-
-/// The stall-detection bound in force ([`HEARTBEAT_TIMEOUT_ENV`] or
-/// the default).
-pub fn heartbeat_timeout() -> Duration {
-    Duration::from_millis(env_ms(HEARTBEAT_TIMEOUT_ENV, DEFAULT_HEARTBEAT_TIMEOUT_MS))
-}
 
 // ---------------------------------------------------------------------
 // Address + stream abstraction (UDS default, TCP loopback optional)
@@ -983,7 +959,7 @@ impl Supervisor {
             }
         }
         // All in: welcome everyone with the fabric geometry.
-        let heartbeat_ms = heartbeat_interval().as_millis() as u32;
+        let heartbeat_ms = DEFAULT_HEARTBEAT_MS as u32;
         for link in self.links.iter().flatten() {
             let mut writer = link.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             write_frame(
@@ -1002,14 +978,14 @@ impl Supervisor {
     ///
     /// One reader thread per worker forwards `Data` frames to their
     /// destination and tracks heartbeats; a stall monitor declares any
-    /// rank whose heartbeat is older than [`heartbeat_timeout`] dead
+    /// rank whose heartbeat is older than [`DEFAULT_HEARTBEAT_TIMEOUT_MS`] dead
     /// and calls `on_stall(rank)` — the caller `SIGKILL`s the child,
     /// whose socket EOF then completes the normal death path. On any
     /// death the survivors receive `PeerDead` so their pending
     /// receives resolve instead of deadlocking.
     pub fn route(mut self, on_stall: impl Fn(usize) + Sync) -> RouteReport {
         let nranks = self.nranks;
-        let hb_bound = heartbeat_timeout();
+        let hb_bound = Duration::from_millis(DEFAULT_HEARTBEAT_TIMEOUT_MS);
         let pids: Vec<u32> = self
             .links
             .iter()
@@ -1126,7 +1102,7 @@ impl Supervisor {
             // is declared dead here; `on_stall` kills the child, whose
             // socket EOF then unblocks its reader thread above.
             scope.spawn(move || {
-                let poll = heartbeat_interval();
+                let poll = Duration::from_millis(DEFAULT_HEARTBEAT_MS);
                 loop {
                     std::thread::sleep(poll);
                     let mut all_gone = true;

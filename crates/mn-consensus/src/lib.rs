@@ -50,7 +50,7 @@ pub enum ConsensusBackend {
     #[default]
     Sparse,
     /// Dense `SymMatrix`, sequential extraction replicated on every
-    /// rank — §3.2.2 taken literally (`--consensus-dense`).
+    /// rank — §3.2.2 taken literally (the A/B baseline).
     Dense,
 }
 

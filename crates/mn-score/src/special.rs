@@ -63,7 +63,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// involved anywhere — only call-count changes — so the determinism
 /// contract needs no A/B toggle.
 ///
-/// The table is lazily grown (dense, from 0 up) behind an [`RwLock`]:
+/// The table is lazily grown (dense, from 0 up) behind an [`RwLock`](std::sync::RwLock):
 /// steady-state lookups take the read lock only. One table is scoped to
 /// one *checkpoint unit* (a module-tree build, one Gibbs sweep), never
 /// to a whole run, so counter deltas replayed on resume are identical

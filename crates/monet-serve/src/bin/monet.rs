@@ -6,7 +6,6 @@
 //!       [--seed N] [--ganesh-runs G] [--update-steps U]
 //!       [--init-clusters K0] [--trees R] [--splits-per-node J]
 //!       [--sampling-steps S] [--threshold T] [--reference]
-//!       [--gibbs-naive] [--consensus-dense]
 //!       [--candidates file.txt] [--xml out.xml] [--json out.json]
 //!       [--trace trace.json] [--metrics-out metrics.json]
 //!       [--checkpoint-dir dir] [--resume] [--force-restart]
@@ -65,6 +64,13 @@
 //! exits 3 with per-rank flight-recorder dumps; results on the happy
 //! path are byte-identical to every other engine.
 //!
+//! Every launch — a single-process engine, the in-process msg fabric,
+//! a proc worker, and the proc supervisor's check before it spawns —
+//! loads the data, builds the config and parses the fault plan in one
+//! place, and every launch that learns ends in one outcome tail
+//! (flight-recorder dumps, post-mortem trace, exit code 1 for an error
+//! or 3 for a fault).
+//!
 //! `monet serve` runs the learner as a long-lived multi-tenant service
 //! (DESIGN.md §16): line-delimited JSON over a Unix or TCP socket,
 //! a fixed worker pool with fair per-tenant scheduling and bounded
@@ -82,16 +88,18 @@ use mn_comm::msg::proc::{
 use mn_comm::{
     silence_injected_panics, spmd_run_faulty_recorded, CommError, EngineSpec, Fabric, FaultAbort,
     FaultPlan, InjectedCrash, ObsSnapshot, ParEngine, PartitionStrategy, RunReport, SerialEngine,
-    SimEngine, ThreadEngine,
+    SimEngine, SpmdCapture, ThreadEngine,
 };
 use mn_data::Dataset;
-use mn_obs::{FlightRec, SnapshotStash, TelemetryHandle, TelemetrySink};
-use mn_score::{CandidateScoring, ScoreMode};
+use mn_obs::{TelemetryHandle, TelemetrySink};
+use mn_score::ScoreMode;
 use monet::{
     learn_module_network, learn_with_checkpoint_policy, LearnerConfig, ModuleNetwork,
     ResumePolicy, RunMetrics,
 };
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 struct Options {
@@ -108,8 +116,6 @@ struct Options {
     sampling_steps: usize,
     threshold: f64,
     reference: bool,
-    gibbs_naive: bool,
-    consensus_dense: bool,
     candidates: Option<String>,
     xml: Option<String>,
     json: Option<String>,
@@ -131,9 +137,8 @@ struct Options {
 }
 
 impl Options {
-    /// Flag defaults — shared by the batch parser and the `client
-    /// submit` learn-flag parser, so a served job's config defaults
-    /// match the batch CLI's exactly.
+    /// Flag defaults — shared by the batch parser and `client submit`,
+    /// so a served job's config defaults match the batch CLI's exactly.
     fn defaults() -> Options {
         Options {
             input: None,
@@ -149,8 +154,6 @@ impl Options {
             sampling_steps: 8,
             threshold: 0.0,
             reference: false,
-            gibbs_naive: false,
-            consensus_dense: false,
             candidates: None,
             xml: None,
             json: None,
@@ -169,6 +172,33 @@ impl Options {
             worker: None,
         }
     }
+
+    /// The rank count of the run: the worker's fabric size, or the
+    /// engine's.
+    fn nranks(&self) -> usize {
+        if let Some(w) = &self.worker {
+            return w.nranks;
+        }
+        match self.engine {
+            EngineSpec::Serial => 1,
+            EngineSpec::Threads(p)
+            | EngineSpec::Sim(p)
+            | EngineSpec::Msg(p)
+            | EngineSpec::Proc(p) => p,
+        }
+    }
+
+    /// The rank whose outputs this process writes: 0, unless it is a
+    /// proc worker.
+    fn rank(&self) -> usize {
+        self.worker.as_ref().map_or(0, |w| w.rank)
+    }
+
+    /// Only rank 0 speaks: the summary, telemetry stream and output
+    /// files all come from it; the other proc workers run silent.
+    fn silent(&self) -> bool {
+        self.quiet || self.rank() != 0
+    }
 }
 
 /// The `monet worker` coordinates: which rank this process is, how
@@ -186,7 +216,7 @@ fn usage() -> ! {
          \x20      [--partition block|segment-owner|self-scheduling|cost-guided]\n\
          \x20      [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20      [--trees R] [--splits-per-node J] [--sampling-steps S]\n\
-         \x20      [--threshold T] [--reference] [--gibbs-naive] [--consensus-dense]\n\
+         \x20      [--threshold T] [--reference]\n\
          \x20      [--candidates file]\n\
          \x20      [--xml out.xml] [--json out.json]\n\
          \x20      [--trace trace.json] [--metrics-out metrics.json]\n\
@@ -200,6 +230,37 @@ fn usage() -> ! {
          \x20                       monet client --connect <addr> <op> [...]"
     );
     std::process::exit(2)
+}
+
+/// Parse a flag value, or print `usage` and exit 2.
+fn num<T: FromStr>(value: String, usage: fn() -> !) -> T {
+    value.parse().unwrap_or_else(|_| usage())
+}
+
+/// Apply one learn flag — a flag that shapes the [`LearnerConfig`] —
+/// to `opts`, taking its value from `value`; `false` when `flag` is
+/// not a learn flag. The batch parser and `client submit` both read
+/// their learn flags here, so a served job is configured exactly as a
+/// batch run with the same flags.
+fn learn_flag(
+    opts: &mut Options,
+    flag: &str,
+    mut value: impl FnMut() -> String,
+    usage: fn() -> !,
+) -> bool {
+    match flag {
+        "--seed" => opts.seed = num(value(), usage),
+        "--ganesh-runs" => opts.ganesh_runs = num(value(), usage),
+        "--update-steps" => opts.update_steps = num(value(), usage),
+        "--init-clusters" => opts.init_clusters = Some(num(value(), usage)),
+        "--trees" => opts.trees = num(value(), usage),
+        "--splits-per-node" => opts.splits_per_node = num(value(), usage),
+        "--sampling-steps" => opts.sampling_steps = num(value(), usage),
+        "--threshold" => opts.threshold = num(value(), usage),
+        "--reference" => opts.reference = true,
+        _ => return false,
+    }
+    true
 }
 
 fn parse_options() -> Options {
@@ -216,87 +277,55 @@ fn parse_options() -> Options {
     let mut proc_socket: Option<String> = None;
     let mut opts = Options::defaults();
     let mut i = 0;
-    let value = |args: &[String], i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--input" => opts.input = Some(value(&args, &mut i)),
+        let flag = args[i].clone();
+        let mut value = || {
+            i += 1;
+            args.get(i).cloned().unwrap_or_else(|| usage())
+        };
+        if learn_flag(&mut opts, &flag, &mut value, usage) {
+            i += 1;
+            continue;
+        }
+        match flag.as_str() {
+            "--input" => opts.input = Some(value()),
             "--synthetic" => {
-                let v = value(&args, &mut i);
-                let parts: Vec<&str> = v.split(',').collect();
-                if parts.len() != 2 {
-                    usage();
-                }
-                let n = parts[0].parse().unwrap_or_else(|_| usage());
-                let m = parts[1].parse().unwrap_or_else(|_| usage());
-                opts.synthetic = Some((n, m));
+                let v = value();
+                let Some((n, m)) = v.split_once(',') else {
+                    usage()
+                };
+                opts.synthetic = Some((num(n.to_string(), usage), num(m.to_string(), usage)));
             }
             "--engine" => {
-                opts.engine = value(&args, &mut i).parse().unwrap_or_else(|e| {
+                opts.engine = value().parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
             }
             "--partition" => {
-                opts.partition = value(&args, &mut i).parse().unwrap_or_else(|e| {
+                opts.partition = value().parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
             }
-            "--seed" => opts.seed = value(&args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--ganesh-runs" => {
-                opts.ganesh_runs = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--update-steps" => {
-                opts.update_steps = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--init-clusters" => {
-                opts.init_clusters =
-                    Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--trees" => opts.trees = value(&args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--splits-per-node" => {
-                opts.splits_per_node = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--sampling-steps" => {
-                opts.sampling_steps = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--threshold" => {
-                opts.threshold = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--reference" => opts.reference = true,
-            "--gibbs-naive" => opts.gibbs_naive = true,
-            "--consensus-dense" => opts.consensus_dense = true,
-            "--candidates" => opts.candidates = Some(value(&args, &mut i)),
-            "--xml" => opts.xml = Some(value(&args, &mut i)),
-            "--json" => opts.json = Some(value(&args, &mut i)),
-            "--trace" => opts.trace = Some(value(&args, &mut i)),
-            "--metrics-out" => opts.metrics_out = Some(value(&args, &mut i)),
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(value(&args, &mut i)),
+            "--candidates" => opts.candidates = Some(value()),
+            "--xml" => opts.xml = Some(value()),
+            "--json" => opts.json = Some(value()),
+            "--trace" => opts.trace = Some(value()),
+            "--metrics-out" => opts.metrics_out = Some(value()),
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(value()),
             "--resume" => opts.resume = true,
             "--force-restart" => opts.force_restart = true,
-            "--fault" => opts.fault = Some(value(&args, &mut i)),
-            "--comm-timeout-ms" => {
-                opts.comm_timeout_ms =
-                    Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--telemetry-out" => opts.telemetry_out = Some(value(&args, &mut i)),
-            "--telemetry-interval-ms" => {
-                opts.telemetry_interval_ms =
-                    value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--flightrec-dir" => opts.flightrec_dir = Some(value(&args, &mut i)),
+            "--fault" => opts.fault = Some(value()),
+            "--comm-timeout-ms" => opts.comm_timeout_ms = Some(num(value(), usage)),
+            "--telemetry-out" => opts.telemetry_out = Some(value()),
+            "--telemetry-interval-ms" => opts.telemetry_interval_ms = num(value(), usage),
+            "--flightrec-dir" => opts.flightrec_dir = Some(value()),
             "--dag" => opts.dag = true,
             "--quiet" => opts.quiet = true,
-            "--proc-rank" if is_worker => {
-                proc_rank = Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--proc-nranks" if is_worker => {
-                proc_nranks = Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--proc-socket" if is_worker => proc_socket = Some(value(&args, &mut i)),
+            "--proc-rank" if is_worker => proc_rank = Some(num(value(), usage)),
+            "--proc-nranks" if is_worker => proc_nranks = Some(num(value(), usage)),
+            "--proc-socket" if is_worker => proc_socket = Some(value()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -331,17 +360,7 @@ fn parse_options() -> Options {
     opts
 }
 
-fn load_data(opts: &Options) -> Result<Dataset, String> {
-    if let Some(path) = &opts.input {
-        return mn_data::read_tsv_file(path).map_err(|e| format!("reading {path}: {e}"));
-    }
-    let (n, m) = opts.synthetic.unwrap();
-    mn_data::synthetic::try_yeast_like(n, m, opts.seed)
-        .map(|synthetic| synthetic.dataset)
-        .map_err(|e| e.to_string())
-}
-
-/// The data-independent part of [`build_config`]: everything except
+/// The data-independent part of the config: everything except
 /// candidate-regulator resolution. `client submit` uses it directly,
 /// which is what makes a served job's config byte-identical to the
 /// batch CLI's for the same flags.
@@ -351,12 +370,6 @@ fn base_config(opts: &Options) -> LearnerConfig {
     config.ganesh.update_steps = opts.update_steps;
     config.ganesh.init_clusters = opts.init_clusters;
     config.consensus.threshold = opts.threshold;
-    if opts.consensus_dense {
-        // A/B baseline: §3.2.2's dense sequential consensus, replicated
-        // on every rank. Extracts the identical modules (bit-identical
-        // eigenvector stream); only footprint and wall-clock differ.
-        config.consensus.backend = monet::mn_consensus::ConsensusBackend::Dense;
-    }
     config.tree.update_steps = opts.trees + 1;
     config.tree.burn_in = 1;
     config.tree.splits_per_node = opts.splits_per_node;
@@ -364,13 +377,40 @@ fn base_config(opts: &Options) -> LearnerConfig {
     if opts.reference {
         config = config.with_mode(ScoreMode::Reference);
     }
-    if opts.gibbs_naive {
-        // A/B baseline: per-candidate naive scoring in every Gibbs
-        // sweep. Learns the identical network (bit-identical weights),
-        // only the wall-clock differs.
-        config = config.with_candidate_scoring(CandidateScoring::Naive);
-    }
     config
+}
+
+/// What every launch needs before it runs: the data, the validated
+/// config, and the fault plan for the run's rank count.
+struct Prepared {
+    data: Dataset,
+    config: LearnerConfig,
+    plan: FaultPlan,
+}
+
+/// Load the data, build the config and parse the fault plan — once,
+/// for every launch.
+fn prepare(opts: &Options) -> Result<Prepared, String> {
+    let data = load_data(opts)?;
+    let config = build_config(opts, &data)?;
+    let plan = match &opts.fault {
+        Some(spec) => FaultPlan::parse(spec, opts.nranks())?,
+        None => FaultPlan::new(),
+    };
+    if !plan.is_empty() {
+        silence_injected_panics();
+    }
+    Ok(Prepared { data, config, plan })
+}
+
+fn load_data(opts: &Options) -> Result<Dataset, String> {
+    if let Some(path) = &opts.input {
+        return mn_data::read_tsv_file(path).map_err(|e| format!("reading {path}: {e}"));
+    }
+    let (n, m) = opts.synthetic.expect("the parser requires --input or --synthetic");
+    mn_data::synthetic::try_yeast_like(n, m, opts.seed)
+        .map(|synthetic| synthetic.dataset)
+        .map_err(|e| e.to_string())
 }
 
 fn build_config(opts: &Options, data: &Dataset) -> Result<LearnerConfig, String> {
@@ -378,9 +418,8 @@ fn build_config(opts: &Options, data: &Dataset) -> Result<LearnerConfig, String>
     if let Some(path) = &opts.candidates {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let names: Vec<String> = text.split_whitespace().map(String::from).collect();
-        let mut indices = Vec::with_capacity(names.len());
-        for name in &names {
+        let mut indices = Vec::new();
+        for name in text.split_whitespace() {
             match data.var_names.iter().position(|v| v == name) {
                 Some(idx) => indices.push(idx),
                 None => return Err(format!("candidate regulator {name:?} not in data set")),
@@ -391,6 +430,12 @@ fn build_config(opts: &Options, data: &Dataset) -> Result<LearnerConfig, String>
     config.validated()
 }
 
+/// Print `error: {e}` and exit 1.
+fn fail(e: impl Display) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
+}
+
 /// Why a run produced no network: an ordinary error (exit 1) or a
 /// fault abort — injected or observed communication failure (exit 3,
 /// so kill–resume drills can tell the two apart).
@@ -399,76 +444,59 @@ enum RunFailure {
     Fault(String),
 }
 
-/// Per-rank post-mortem handles collected *outside* the unwind path:
-/// flight recorders (always usable, even for ranks that died) and
-/// death stashes (filled by a dying rank with its final snapshot).
-/// Index = rank.
-#[derive(Default)]
-struct Capture {
-    flights: Vec<FlightRec>,
-    stashes: Vec<SnapshotStash>,
-}
-
-impl Capture {
-    /// Dump every rank's flight recorder as `flightrec-rank<k>.jsonl`
-    /// into `dir` (created if missing). Best-effort: dump failures are
-    /// reported but never change the exit code — post-mortem tooling
-    /// must not mask the original failure.
-    fn dump_flight_recorders(&self, dir: &str, quiet: bool) {
-        let dir = std::path::Path::new(dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: flight recorder dir {}: {e}", dir.display());
-            return;
-        }
-        for flight in &self.flights {
-            match flight.dump_to_dir(dir) {
-                Ok(path) => {
-                    if !quiet {
-                        eprintln!("flight recorder: {}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: flight recorder dump: {e}"),
+impl RunFailure {
+    /// Report the failure on stderr — a proc worker's fault names its
+    /// rank — and return its exit code.
+    fn exit(self, worker_rank: Option<usize>) -> ExitCode {
+        match (self, worker_rank) {
+            (RunFailure::Error(e), _) => fail(e),
+            (RunFailure::Fault(e), Some(rank)) => {
+                eprintln!("fault: rank {rank}: {e}");
+                ExitCode::from(3)
+            }
+            (RunFailure::Fault(e), None) => {
+                eprintln!("fault: {e}");
+                ExitCode::from(3)
             }
         }
     }
+}
 
-    /// The first stashed death snapshot, if any rank left one — the
-    /// best post-mortem timeline a failed run has.
-    fn death_snapshot(&self) -> Option<ObsSnapshot> {
-        self.stashes.iter().find_map(|s| s.get())
+/// A learned run: the network, its report, and the (rank-merged)
+/// observability snapshot.
+type Learned = (ModuleNetwork, RunReport, ObsSnapshot);
+
+/// The checkpoint resume policy the flags ask for.
+fn resume_policy(opts: &Options) -> ResumePolicy {
+    if opts.force_restart {
+        ResumePolicy::ForceRestart
+    } else if opts.resume {
+        ResumePolicy::Strict
+    } else {
+        ResumePolicy::Auto
     }
 }
 
-/// The checkpoint request derived from the flags: directory plus
-/// resume policy.
-fn checkpoint_request(opts: &Options) -> Option<(String, ResumePolicy)> {
-    opts.checkpoint_dir.as_ref().map(|dir| {
-        let policy = if opts.force_restart {
-            ResumePolicy::ForceRestart
-        } else if opts.resume {
-            ResumePolicy::Strict
-        } else {
-            ResumePolicy::Auto
-        };
-        (dir.clone(), policy)
-    })
-}
-
+/// Learn on one engine (or one SPMD rank): install the partition
+/// strategy and the telemetry stream, run the pipeline — over
+/// `--checkpoint-dir` when given — and take the final snapshot.
 fn run_on<E: ParEngine>(
     engine: &mut E,
+    opts: &Options,
     data: &Dataset,
     config: &LearnerConfig,
-    ckpt: Option<&(String, ResumePolicy)>,
-) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    let (network, report) = match ckpt {
-        Some((dir, policy)) => {
-            learn_with_checkpoint_policy(engine, data, config, dir, *policy)
-                .map_err(|e| RunFailure::Error(e.to_string()))?
-        }
+    telemetry: Option<&TelemetryHandle>,
+) -> Result<Learned, RunFailure> {
+    engine.set_partition_strategy(opts.partition);
+    if let Some(handle) = telemetry {
+        engine.obs_mut().set_telemetry(handle.clone());
+    }
+    let (network, report) = match &opts.checkpoint_dir {
+        Some(dir) => learn_with_checkpoint_policy(engine, data, config, dir, resume_policy(opts))
+            .map_err(|e| RunFailure::Error(e.to_string()))?,
         None => learn_module_network(engine, data, config),
     };
-    let now = engine.now_s();
-    let snapshot = engine.obs().snapshot(now);
+    let snapshot = engine.obs().snapshot(engine.now_s());
     Ok((network, report, snapshot))
 }
 
@@ -487,157 +515,99 @@ fn fault_failure(payload: Box<dyn std::any::Any + Send>) -> RunFailure {
     }
 }
 
-/// Run a single-process engine, catching fault-injection unwinds so an
-/// aborted run exits cleanly (code 3) instead of with a panic trace.
-/// The engine's flight recorder and death stash are cloned into
-/// `capture` *before* the unwind-catching closure takes the engine, so
-/// post-mortem dumps work even when the run dies.
-fn run_single<E: ParEngine>(
-    mut engine: E,
-    partition: PartitionStrategy,
-    data: &Dataset,
-    config: &LearnerConfig,
-    ckpt: Option<&(String, ResumePolicy)>,
-    telemetry: Option<&TelemetryHandle>,
-    capture: &mut Capture,
-) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    engine.set_partition_strategy(partition);
-    if let Some(handle) = telemetry {
-        engine.obs_mut().set_telemetry(handle.clone());
-    }
-    capture.flights.push(engine.obs().flight());
-    capture.stashes.push(engine.death_stash());
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run_on(&mut engine, data, config, ckpt)
-    })) {
-        Ok(result) => result,
-        Err(payload) => Err(fault_failure(payload)),
-    }
+/// Run `learn`, catching fault-injection unwinds so an aborted run
+/// exits cleanly (code 3) instead of with a panic trace.
+fn catch_faults(
+    learn: impl FnOnce() -> Result<Learned, RunFailure>,
+) -> Result<Learned, RunFailure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(learn))
+        .unwrap_or_else(|payload| Err(fault_failure(payload)))
 }
 
-fn run(
+/// Run with the `--telemetry-out` stream open (on rank 0 only), then
+/// drain it: by then the engines and their cloned handles are gone, so
+/// finishing only flushes buffered lines and joins the writer.
+fn with_telemetry<R>(
     opts: &Options,
-    data: &Dataset,
-    config: &LearnerConfig,
-    telemetry: Option<&TelemetryHandle>,
-    capture: &mut Capture,
-) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    let ckpt = checkpoint_request(opts);
-    let nranks = match opts.engine {
-        EngineSpec::Serial => 1,
-        EngineSpec::Threads(p) | EngineSpec::Sim(p) | EngineSpec::Msg(p)
-        | EngineSpec::Proc(p) => p,
-    };
-    let plan = match &opts.fault {
-        Some(spec) => FaultPlan::parse(spec, nranks).map_err(RunFailure::Error)?,
-        None => FaultPlan::new(),
-    };
-    if !plan.is_empty() {
-        silence_injected_panics();
-    }
-    match opts.engine {
-        // Single-process engines count *engine* events (each dist_map /
-        // collective / replicated call), attributed to rank 0.
-        EngineSpec::Serial => run_single(
-            SerialEngine::new().with_fault_plan(plan),
-            opts.partition,
-            data,
-            config,
-            ckpt.as_ref(),
-            telemetry,
-            capture,
-        ),
-        EngineSpec::Threads(p) => run_single(
-            ThreadEngine::new(p).with_fault_plan(plan),
-            opts.partition,
-            data,
-            config,
-            ckpt.as_ref(),
-            telemetry,
-            capture,
-        ),
-        EngineSpec::Sim(p) => run_single(
-            SimEngine::new(p).with_fault_plan(plan),
-            opts.partition,
-            data,
-            config,
-            ckpt.as_ref(),
-            telemetry,
-            capture,
-        ),
-        EngineSpec::Msg(p) => {
-            // True SPMD: every rank learns the full network. All ranks
-            // produce the identical network and report (the determinism
-            // contract); the per-rank observability snapshots are merged
-            // so the timeline carries every rank's busy time. Faults are
-            // fabric events (sends + receives, per endpoint); an empty
-            // plan makes this path identical to the plain spmd_run.
-            let timeout = opts.comm_timeout_ms.map(Duration::from_millis);
-            let (outcomes, spmd_capture) = spmd_run_faulty_recorded(p, plan, timeout, |engine| {
-                // Replicated SPMD call: every rank installs the same
-                // strategy so the governors stay in lock-step.
-                engine.set_partition_strategy(opts.partition);
-                // The telemetry delta stream is a single per-stream
-                // state machine, so exactly one rank feeds it.
-                if engine.rank() == 0 {
-                    if let Some(handle) = telemetry {
-                        engine.obs_mut().set_telemetry(handle.clone());
-                    }
-                }
-                run_on(engine, data, config, ckpt.as_ref())
-            });
-            capture.flights = spmd_capture.flights;
-            capture.stashes = spmd_capture.stashes;
-            let mut results = Vec::with_capacity(p);
-            // Survivors abort *because* a peer was killed; report the
-            // injected kill as the cause, not the downstream abort.
-            let mut survivor_failure: Option<RunFailure> = None;
-            for (rank, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    Ok(Ok(triple)) => results.push(triple),
-                    Ok(Err(failure)) => return Err(failure),
-                    Err(CommError::Injected { rank: r, event }) => {
-                        return Err(RunFailure::Fault(format!(
-                            "injected kill: rank {r} at fabric event {event}"
-                        )))
-                    }
-                    Err(e) => {
-                        survivor_failure.get_or_insert(RunFailure::Fault(format!(
-                            "rank {rank} aborted: {e}"
-                        )));
-                    }
-                }
-            }
-            if let Some(failure) = survivor_failure {
-                return Err(failure);
-            }
-            let snapshots: Vec<ObsSnapshot> =
-                results.iter().map(|(_, _, s)| s.clone()).collect();
-            // A merge failure here means the determinism contract
-            // itself broke — surface the first divergence, don't panic.
-            let merged = mn_comm::obs::merge_ranks(&snapshots)
-                .map_err(|e| RunFailure::Error(format!("rank merge failed: {e}")))?;
-            let (network, report, _) = results.swap_remove(0);
-            Ok((network, report, merged))
+    launch: impl FnOnce(Option<&TelemetryHandle>) -> R,
+) -> Result<R, String> {
+    let sink = match &opts.telemetry_out {
+        Some(path) if opts.rank() == 0 => {
+            let interval = Duration::from_millis(opts.telemetry_interval_ms);
+            let sink = TelemetrySink::to_path(path, interval)
+                .map_err(|e| format!("opening telemetry stream {path}: {e}"))?;
+            Some(sink)
         }
-        // Dispatched to run_supervisor/run_worker_entry before run()
-        // is ever reached; kept for match exhaustiveness.
-        EngineSpec::Proc(_) => Err(RunFailure::Error(
-            "proc engine must be launched from main".to_string(),
-        )),
+        _ => None,
+    };
+    let handle = sink.as_ref().map(|s| s.handle());
+    let out = launch(handle.as_ref());
+    drop(handle);
+    if let Some(sink) = sink {
+        if let Err(e) = sink.finish() {
+            eprintln!("warning: telemetry stream: {e}");
+        }
     }
+    Ok(out)
 }
 
-/// Open the `--telemetry-out` sink, if requested.
-fn open_telemetry(opts: &Options) -> Result<Option<TelemetrySink>, String> {
-    match &opts.telemetry_out {
-        Some(path) => {
-            let interval = Duration::from_millis(opts.telemetry_interval_ms);
-            TelemetrySink::to_path(path, interval)
-                .map(Some)
-                .map_err(|e| format!("opening telemetry stream {path}: {e}"))
+/// The outcome tail every learning launch shares. A failed run dumps
+/// every captured flight recorder into `--flightrec-dir` (default `.`),
+/// writes the post-mortem trace from a dying rank's stashed snapshot
+/// when `--trace` asked for one, and exits 1 for an error or 3 for a
+/// fault; a clean run dumps only when `--flightrec-dir` was given, and
+/// rank 0 writes the outputs.
+fn conclude(
+    opts: &Options,
+    capture: &SpmdCapture,
+    result: Result<Learned, RunFailure>,
+) -> ExitCode {
+    let quiet = opts.silent();
+    let failure = match result {
+        Ok(learned) => {
+            if let Some(dir) = &opts.flightrec_dir {
+                dump_flight_recorders(capture, dir, quiet);
+            }
+            return match opts.rank() {
+                0 => write_outputs(opts, &learned),
+                _ => ExitCode::SUCCESS,
+            };
         }
-        None => Ok(None),
+        Err(failure) => failure,
+    };
+    dump_flight_recorders(capture, opts.flightrec_dir.as_deref().unwrap_or("."), quiet);
+    if let (Some(path), 0) = (&opts.trace, opts.rank()) {
+        if let Some(snap) = capture.stashes.iter().find_map(|s| s.get()) {
+            let trace = mn_comm::obs::chrome_trace_json(&snap);
+            if let Err(e) = std::fs::write(path, trace) {
+                eprintln!("warning: writing {path}: {e}");
+            } else if !quiet {
+                eprintln!("post-mortem trace: {path}");
+            }
+        }
+    }
+    failure.exit(opts.worker.as_ref().map(|w| w.rank))
+}
+
+/// Dump every captured flight recorder as `flightrec-rank<k>.jsonl`
+/// into `dir` (created if missing). Best-effort: dump failures are
+/// reported but never change the exit code — post-mortem tooling must
+/// not mask the original failure.
+fn dump_flight_recorders(capture: &SpmdCapture, dir: &str, quiet: bool) {
+    let dir = std::path::Path::new(dir);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("warning: flight recorder dir {}: {e}", dir.display());
+        return;
+    }
+    for flight in &capture.flights {
+        match flight.dump_to_dir(dir) {
+            Ok(path) => {
+                if !quiet {
+                    eprintln!("flight recorder: {}", path.display());
+                }
+            }
+            Err(e) => eprintln!("warning: flight recorder dump: {e}"),
+        }
     }
 }
 
@@ -651,98 +621,138 @@ fn main() -> ExitCode {
         _ => {}
     }
     let opts = parse_options();
-    if let Some(worker) = &opts.worker {
-        return run_worker_entry(&opts, worker);
-    }
-    if let EngineSpec::Proc(p) = opts.engine {
-        return run_supervisor(&opts, p);
-    }
-    if opts.quiet {
+    if opts.silent() {
         mn_comm::obs::set_quiet(true);
     }
-    let data = match load_data(&opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    // Validate everything cheap before any engine starts: a typo
+    // should fail in one process, not p+1.
+    let prepared = match prepare(&opts) {
+        Ok(prepared) => prepared,
+        Err(e) => return fail(e),
     };
-    let config = match build_config(&opts, &data) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    match (&opts.worker, opts.engine) {
+        (Some(worker), _) => run_worker(&opts, worker, prepared),
+        (None, EngineSpec::Proc(p)) => {
+            drop(prepared);
+            run_supervisor(&opts, p)
         }
-    };
-    let sink = match open_telemetry(&opts) {
-        Ok(sink) => sink,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let handle = sink.as_ref().map(|s| s.handle());
-    let mut capture = Capture::default();
-    let result = run(&opts, &data, &config, handle.as_ref(), &mut capture);
-    drop(handle);
-    if let Some(sink) = sink {
-        // The engines (and their cloned handles) are gone by now, so
-        // this only drains buffered lines and joins the writer.
-        if let Err(e) = sink.finish() {
-            eprintln!("warning: telemetry stream: {e}");
+        (None, _) => {
+            match with_telemetry(&opts, |telemetry| run_in_process(&opts, prepared, telemetry)) {
+                Ok((result, capture)) => conclude(&opts, &capture, result),
+                Err(e) => fail(e),
+            }
         }
     }
-    let (network, report, snapshot) = match result {
-        Ok(result) => {
-            // An explicit dump directory asks for recorders even from
-            // clean runs (replay comparison across engines).
-            if let Some(dir) = &opts.flightrec_dir {
-                capture.dump_flight_recorders(dir, opts.quiet);
-            }
-            result
-        }
-        Err(failure) => {
-            // Post-mortem: every failed run leaves its per-rank flight
-            // recorder dumps, and — when a dying rank stashed its final
-            // snapshot — the best-effort timeline the --trace flag asked
-            // for.
-            let dir = opts.flightrec_dir.clone().unwrap_or_else(|| ".".to_string());
-            capture.dump_flight_recorders(&dir, opts.quiet);
-            if let Some(path) = &opts.trace {
-                if let Some(snap) = capture.death_snapshot() {
-                    let trace = mn_comm::obs::chrome_trace_json(&snap);
-                    if let Err(e) = std::fs::write(path, trace) {
-                        eprintln!("warning: writing {path}: {e}");
-                    } else if !opts.quiet {
-                        eprintln!("post-mortem trace: {path}");
-                    }
-                }
-            }
-            match failure {
-                RunFailure::Error(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                RunFailure::Fault(e) => {
-                    eprintln!("fault: {e}");
-                    return ExitCode::from(3);
-                }
-            }
-        }
-    };
+}
 
-    write_outputs(&opts, &network, &report, &snapshot)
+/// Run on a single-process engine or the in-process msg fabric,
+/// returning the outcome and every rank's post-mortem handles.
+fn run_in_process(
+    opts: &Options,
+    prepared: Prepared,
+    telemetry: Option<&TelemetryHandle>,
+) -> (Result<Learned, RunFailure>, SpmdCapture) {
+    let Prepared { data, config, plan } = prepared;
+    let (data, config) = (&data, &config);
+    match opts.engine {
+        // Single-process engines count *engine* events (each dist_map /
+        // collective / replicated call), attributed to rank 0.
+        EngineSpec::Serial => {
+            run_single(SerialEngine::new().with_fault_plan(plan), opts, data, config, telemetry)
+        }
+        EngineSpec::Threads(p) => {
+            run_single(ThreadEngine::new(p).with_fault_plan(plan), opts, data, config, telemetry)
+        }
+        EngineSpec::Sim(p) => {
+            run_single(SimEngine::new(p).with_fault_plan(plan), opts, data, config, telemetry)
+        }
+        EngineSpec::Msg(p) => run_msg(p, plan, opts, data, config, telemetry),
+        EngineSpec::Proc(_) => unreachable!("proc runs launch through the supervisor"),
+    }
+}
+
+/// Run a single-process engine. Its flight recorder and death stash
+/// are cloned *before* the unwind-catching closure takes the engine,
+/// so post-mortem dumps work even when the run dies.
+fn run_single<E: ParEngine>(
+    mut engine: E,
+    opts: &Options,
+    data: &Dataset,
+    config: &LearnerConfig,
+    telemetry: Option<&TelemetryHandle>,
+) -> (Result<Learned, RunFailure>, SpmdCapture) {
+    let capture = SpmdCapture {
+        flights: vec![engine.obs().flight()],
+        stashes: vec![engine.death_stash()],
+    };
+    let result = catch_faults(move || run_on(&mut engine, opts, data, config, telemetry));
+    (result, capture)
+}
+
+/// True SPMD on the in-process msg fabric: every rank learns the full
+/// network. All ranks produce the identical network and report (the
+/// determinism contract); the per-rank observability snapshots are
+/// merged so the timeline carries every rank's busy time. Faults are
+/// fabric events (sends + receives, per endpoint); an empty plan makes
+/// this path identical to the plain `spmd_run`.
+fn run_msg(
+    p: usize,
+    plan: FaultPlan,
+    opts: &Options,
+    data: &Dataset,
+    config: &LearnerConfig,
+    telemetry: Option<&TelemetryHandle>,
+) -> (Result<Learned, RunFailure>, SpmdCapture) {
+    let timeout = opts.comm_timeout_ms.map(Duration::from_millis);
+    let (outcomes, capture) = spmd_run_faulty_recorded(p, plan, timeout, |engine| {
+        // The telemetry delta stream is a single per-stream state
+        // machine, so exactly one rank feeds it.
+        let telemetry = telemetry.filter(|_| engine.rank() == 0);
+        run_on(engine, opts, data, config, telemetry)
+    });
+    let mut results = Vec::with_capacity(p);
+    // Survivors abort *because* a peer was killed; report the injected
+    // kill as the cause, not the downstream abort.
+    let mut survivor_failure: Option<RunFailure> = None;
+    for (rank, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(Ok(learned)) => results.push(learned),
+            Ok(Err(failure)) => return (Err(failure), capture),
+            Err(CommError::Injected { rank: r, event }) => {
+                let cause = format!("injected kill: rank {r} at fabric event {event}");
+                return (Err(RunFailure::Fault(cause)), capture);
+            }
+            Err(e) => {
+                survivor_failure.get_or_insert(RunFailure::Fault(format!(
+                    "rank {rank} aborted: {e}"
+                )));
+            }
+        }
+    }
+    if let Some(failure) = survivor_failure {
+        return (Err(failure), capture);
+    }
+    let snapshots: Vec<ObsSnapshot> = results.iter().map(|(_, _, s)| s.clone()).collect();
+    let (network, report, _) = results.swap_remove(0);
+    (merged(network, report, &snapshots), capture)
+}
+
+/// Rank 0's learned run with every rank's snapshot merged into one
+/// timeline. A merge failure means the determinism contract itself
+/// broke — surface the first divergence, don't panic.
+fn merged(
+    network: ModuleNetwork,
+    report: RunReport,
+    snapshots: &[ObsSnapshot],
+) -> Result<Learned, RunFailure> {
+    let merged = mn_comm::obs::merge_ranks(snapshots)
+        .map_err(|e| RunFailure::Error(format!("rank merge failed: {e}")))?;
+    Ok((network, report, merged))
 }
 
 /// Print the run summary and write every requested output artifact —
-/// the tail of a successful run, shared by the single-process engines
-/// (from `main`) and the rank-0 proc worker.
-fn write_outputs(
-    opts: &Options,
-    network: &ModuleNetwork,
-    report: &RunReport,
-    snapshot: &ObsSnapshot,
-) -> ExitCode {
+/// the tail of a successful run on rank 0.
+fn write_outputs(opts: &Options, (network, report, snapshot): &Learned) -> ExitCode {
     if !opts.quiet {
         let summary = network.summary();
         println!(
@@ -758,33 +768,25 @@ fn write_outputs(
             println!("acyclic module graph: {} edges", dag.len());
         }
     }
-    if let Some(path) = &opts.xml {
-        if let Err(e) = monet::write_xml_file(network, path) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
+    let written = || -> Result<(), String> {
+        let writing = |path: &str, e: &dyn Display| format!("writing {path}: {e}");
+        if let Some(path) = &opts.xml {
+            monet::write_xml_file(network, path).map_err(|e| writing(path, &e))?;
         }
-    }
-    if let Some(path) = &opts.json {
-        if let Err(e) = monet::write_json_file(network, path) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
+        if let Some(path) = &opts.json {
+            monet::write_json_file(network, path).map_err(|e| writing(path, &e))?;
         }
-    }
-    if let Some(path) = &opts.trace {
-        let trace = mn_comm::obs::chrome_trace_json(snapshot);
-        if let Err(e) = std::fs::write(path, trace) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
+        if let Some(path) = &opts.trace {
+            let trace = mn_comm::obs::chrome_trace_json(snapshot);
+            std::fs::write(path, trace).map_err(|e| writing(path, &e))?;
         }
-    }
-    if let Some(path) = &opts.metrics_out {
-        let metrics = RunMetrics::new(report, snapshot);
-        if let Err(e) = metrics.write_file(path) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
+        if let Some(path) = &opts.metrics_out {
+            let metrics = RunMetrics::new(report, snapshot);
+            metrics.write_file(path).map_err(|e| writing(path, &e))?;
         }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    };
+    written().map_or_else(fail, |()| ExitCode::SUCCESS)
 }
 
 /// One rank of a `proc:<p>` run: connect to the supervisor, learn the
@@ -792,52 +794,14 @@ fn write_outputs(
 /// the user asked for. This is the `monet worker` entrypoint; the
 /// supervisor spawns one per rank with the run flags forwarded
 /// verbatim, so data loading and configuration are replicated exactly.
-fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
-    // Only rank 0 speaks: the summary, telemetry stream, and output
-    // files all come from rank 0; the other ranks run silent.
-    let quiet = opts.quiet || w.rank != 0;
-    if quiet {
-        mn_comm::obs::set_quiet(true);
-    }
-    let data = match load_data(opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = match build_config(opts, &data) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match &opts.fault {
-        Some(spec) => match FaultPlan::parse(spec, w.nranks) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FaultPlan::new(),
-    };
-    if !plan.is_empty() {
-        silence_injected_panics();
-    }
+fn run_worker(opts: &Options, w: &WorkerOpts, prepared: Prepared) -> ExitCode {
+    let Prepared { data, config, plan } = prepared;
     let addr = match ProcAddr::parse(&w.socket) {
         Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("error: --proc-socket: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("--proc-socket: {e}")),
     };
     let timeout = opts.comm_timeout_ms.map(Duration::from_millis);
-    let dump_dir = opts
-        .flightrec_dir
-        .clone()
-        .unwrap_or_else(|| ".".to_string());
+    let dump_dir = opts.flightrec_dir.clone().unwrap_or_else(|| ".".to_string());
     // A supervisor that never appears (or never finishes the
     // handshake) is a bounded, typed failure — the same exit code 3 a
     // mid-run fault gets, since from this rank's perspective the
@@ -852,129 +816,56 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
         dump_dir: dump_dir.clone().into(),
     }) {
         Ok(ep) => ep,
-        Err(e) => {
-            eprintln!("fault: rank {} handshake: {e}", w.rank);
-            return ExitCode::from(3);
-        }
+        Err(e) => return RunFailure::Fault(format!("handshake: {e}")).exit(Some(w.rank)),
     };
     let (mut engine, flight, stash) = mn_comm::msg::spmd_worker_engine(ep);
     // A SIGTERMed or panicking worker still leaves its flight ring on
     // disk — this process IS the rank; nothing else holds the handle.
-    {
-        let flight = flight.clone();
-        let dir = dump_dir.clone();
-        mn_comm::sys::on_sigterm(move || {
+    let dump = {
+        let (flight, dir) = (flight.clone(), dump_dir);
+        move || {
             let _ = std::fs::create_dir_all(&dir);
             let _ = flight.dump_to_dir(std::path::Path::new(&dir));
-        });
-    }
-    {
-        let flight = flight.clone();
-        let dir = dump_dir.clone();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = flight.dump_to_dir(std::path::Path::new(&dir));
-            prev(info);
-        }));
-    }
-    let sink = if w.rank == 0 {
-        match open_telemetry(opts) {
-            Ok(sink) => sink,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
         }
-    } else {
-        None
     };
-    let handle = sink.as_ref().map(|s| s.handle());
-    let ckpt = checkpoint_request(opts);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.set_partition_strategy(opts.partition);
-        if let Some(handle) = &handle {
-            engine.obs_mut().set_telemetry(handle.clone());
-        }
-        let (network, report, snapshot) = run_on(&mut engine, &data, &config, ckpt.as_ref())?;
-        // Post-run snapshot gather so rank 0 can merge every rank's
-        // timeline, mirroring the in-process launcher's thread-join
-        // collection. Muted: post-run traffic is outside the
-        // deterministic accounting contract.
-        engine.endpoint().set_obs_muted(true);
-        let all = mn_comm::msg::allgatherv(engine.endpoint(), vec![snapshot])
-            .map_err(|e| RunFailure::Fault(format!("snapshot gather: {e}")))?;
-        engine.endpoint().set_obs_muted(false);
-        Ok((network, report, all))
+    mn_comm::sys::on_sigterm(dump.clone());
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        dump();
+        prev(info);
     }));
-    let result = match outcome {
-        Ok(result) => result,
-        Err(payload) => Err(fault_failure(payload)),
-    };
-    // Goodbye on every deliberate exit — success or diagnosed fault —
-    // so the supervisor's EOF-is-death detection only fires for ranks
-    // that really vanished (SIGKILL, crash). A survivor aborting on a
-    // peer's death reports it through exit code 3, not by looking dead
-    // itself.
-    engine.endpoint().goodbye();
-    drop(handle);
-    if let Some(sink) = sink {
-        if let Err(e) = sink.finish() {
-            eprintln!("warning: telemetry stream: {e}");
-        }
-    }
-    let dump_flight = |always: bool| {
-        if always || opts.flightrec_dir.is_some() {
-            let dir = std::path::Path::new(&dump_dir);
-            let _ = std::fs::create_dir_all(dir);
-            match flight.dump_to_dir(dir) {
-                Ok(path) => {
-                    if !quiet {
-                        eprintln!("flight recorder: {}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: flight recorder dump: {e}"),
+    let result = with_telemetry(opts, |telemetry| {
+        let result = catch_faults(|| {
+            let (network, report, snapshot) =
+                run_on(&mut engine, opts, &data, &config, telemetry)?;
+            // Post-run snapshot gather so rank 0 can merge every
+            // rank's timeline, mirroring the in-process launcher's
+            // thread-join collection. Muted: post-run traffic is
+            // outside the deterministic accounting contract.
+            engine.endpoint().set_obs_muted(true);
+            let mut all = mn_comm::msg::allgatherv(engine.endpoint(), vec![snapshot])
+                .map_err(|e| RunFailure::Fault(format!("snapshot gather: {e}")))?;
+            engine.endpoint().set_obs_muted(false);
+            match w.rank {
+                0 => merged(network, report, &all),
+                rank => Ok((network, report, all.swap_remove(rank))),
             }
-        }
+        });
+        // Goodbye on every deliberate exit — success or diagnosed
+        // fault — so the supervisor's EOF-is-death detection only
+        // fires for ranks that really vanished (SIGKILL, crash). A
+        // survivor aborting on a peer's death reports it through exit
+        // code 3, not by looking dead itself.
+        engine.endpoint().goodbye();
+        result
+    });
+    let capture = SpmdCapture {
+        flights: vec![flight],
+        stashes: vec![stash],
     };
     match result {
-        Ok((network, report, snapshots)) => {
-            dump_flight(false);
-            if w.rank != 0 {
-                return ExitCode::SUCCESS;
-            }
-            let merged = match mn_comm::obs::merge_ranks(&snapshots) {
-                Ok(merged) => merged,
-                Err(e) => {
-                    eprintln!("error: rank merge failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            write_outputs(opts, &network, &report, &merged)
-        }
-        Err(failure) => {
-            dump_flight(true);
-            if w.rank == 0 {
-                if let Some(path) = &opts.trace {
-                    if let Some(snap) = stash.get() {
-                        let trace = mn_comm::obs::chrome_trace_json(&snap);
-                        if std::fs::write(path, trace).is_ok() && !quiet {
-                            eprintln!("post-mortem trace: {path}");
-                        }
-                    }
-                }
-            }
-            match failure {
-                RunFailure::Error(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-                RunFailure::Fault(e) => {
-                    eprintln!("fault: rank {}: {e}", w.rank);
-                    ExitCode::from(3)
-                }
-            }
-        }
+        Ok(result) => conclude(opts, &capture, result),
+        Err(e) => fail(e),
     }
 }
 
@@ -985,33 +876,10 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
 /// one-line diagnosis naming the dead rank and its heartbeat age), 1
 /// for ordinary errors.
 fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
-    // Validate everything cheap before spawning: a typo should fail in
-    // one process, not p+1.
-    let data = match load_data(opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = build_config(opts, &data) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    drop(data);
-    if let Some(spec) = &opts.fault {
-        if let Err(e) = FaultPlan::parse(spec, p) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let addr = match std::env::var("MN_PROC_ADDR") {
         Ok(spec) => match ProcAddr::parse(&spec) {
             Ok(addr) => addr,
-            Err(e) => {
-                eprintln!("error: MN_PROC_ADDR: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format!("MN_PROC_ADDR: {e}")),
         },
         Err(_) => ProcAddr::Unix(
             std::env::temp_dir().join(format!("mn-proc-{}.sock", std::process::id())),
@@ -1019,24 +887,25 @@ fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
     };
     let mut sup = match Supervisor::bind(&addr, p) {
         Ok(sup) => sup,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("binding {addr}: {e}")),
     };
     let worker_addr = sup.addr().to_string();
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("error: resolving own executable: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("resolving own executable: {e}")),
     };
     // Forward the original command line verbatim (workers ignore
     // --engine); each child re-loads data and re-derives the identical
     // config, the SPMD way.
     let forwarded: Vec<String> = std::env::args().skip(1).collect();
     let mut children = Vec::with_capacity(p);
+    let abandon = |children: &mut Vec<std::process::Child>, e: String| {
+        for child in children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        fail(e)
+    };
     for rank in 0..p {
         let spawned = std::process::Command::new(&exe)
             .arg("worker")
@@ -1050,14 +919,7 @@ fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
             .spawn();
         match spawned {
             Ok(child) => children.push(child),
-            Err(e) => {
-                eprintln!("error: spawning worker {rank}: {e}");
-                for child in &mut children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return abandon(&mut children, format!("spawning worker {rank}: {e}")),
         }
     }
     let timeout = opts
@@ -1065,12 +927,7 @@ fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
         .map(Duration::from_millis)
         .unwrap_or(DEFAULT_CONNECT_TIMEOUT);
     if let Err(e) = sup.accept_workers(timeout) {
-        eprintln!("error: worker handshake: {e}");
-        for child in &mut children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        return ExitCode::FAILURE;
+        return abandon(&mut children, format!("worker handshake: {e}"));
     }
     let pids = sup.pids();
     let report = sup.route(|rank| {
@@ -1116,21 +973,16 @@ fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
         } else {
             "died (socket closed)"
         };
-        eprintln!(
-            "fault: rank {rank} {how}; last heartbeat {} ms before detection",
+        fault = Some(format!(
+            "rank {rank} {how}; last heartbeat {} ms before detection",
             age.as_millis()
-        );
-        return ExitCode::from(3);
+        ));
     }
-    if let Some(msg) = fault {
-        eprintln!("fault: {msg}");
-        return ExitCode::from(3);
+    match (fault, error) {
+        (Some(msg), _) => RunFailure::Fault(msg).exit(None),
+        (None, Some(msg)) => RunFailure::Error(msg).exit(None),
+        (None, None) => ExitCode::SUCCESS,
     }
-    if let Some(msg) = error {
-        eprintln!("error: {msg}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------------
@@ -1215,7 +1067,7 @@ fn client_usage() -> ! {
          \x20 submit --tenant T --dataset D [--engine serial|threads:<p>|sim:<p>]\n\
          \x20        [--seed N] [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20        [--trees R] [--splits-per-node J] [--sampling-steps S] [--threshold T]\n\
-         \x20        [--reference] [--gibbs-naive] [--consensus-dense]\n\
+         \x20        [--reference]\n\
          \x20 status --job J | watch --job J [--from N] | result --job J [--json path]\n\
          \x20 cancel --job J | suspend --job J | resume --job J [--engine E]\n\
          \x20 accounting [--tenant T] | jobs [--tenant T] | shutdown | raw <line>"
@@ -1223,9 +1075,8 @@ fn client_usage() -> ! {
     std::process::exit(2)
 }
 
-/// Flat `--flag value` parser for one client op. Boolean flags map to
-/// `"true"`.
-fn client_flags(args: &[String], bools: &[&str]) -> std::collections::BTreeMap<String, String> {
+/// Flat `--flag value` parser for one client op.
+fn client_flags(args: &[String]) -> std::collections::BTreeMap<String, String> {
     let mut flags = std::collections::BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -1233,13 +1084,9 @@ fn client_flags(args: &[String], bools: &[&str]) -> std::collections::BTreeMap<S
             Some(name) => name.to_string(),
             None => client_usage(),
         };
-        if bools.contains(&name.as_str()) {
-            flags.insert(name, "true".to_string());
-        } else {
-            i += 1;
-            let Some(v) = args.get(i) else { client_usage() };
-            flags.insert(name, v.clone());
-        }
+        i += 1;
+        let Some(v) = args.get(i) else { client_usage() };
+        flags.insert(name, v.clone());
         i += 1;
     }
     flags
@@ -1307,7 +1154,7 @@ fn client_main(args: &[String]) -> ExitCode {
     match op.as_str() {
         "ping" => finish(client.ping()),
         "register" => {
-            let flags = client_flags(&rest, &[]);
+            let flags = client_flags(&rest);
             let (Some(tenant), Some(dataset)) = (flags.get("tenant"), flags.get("dataset"))
             else {
                 client_usage()
@@ -1331,43 +1178,33 @@ fn client_main(args: &[String]) -> ExitCode {
             finish(client.register_synthetic(tenant, dataset, n, m, seed))
         }
         "submit" => {
-            let flags = client_flags(&rest, &["reference", "gibbs-naive", "consensus-dense"]);
-            let (Some(tenant), Some(dataset)) = (flags.get("tenant"), flags.get("dataset"))
-            else {
+            // Learn flags land in the same Options the batch parser
+            // fills, read by the same code, then go through the same
+            // config builder.
+            let mut opts = Options::defaults();
+            let (mut tenant, mut dataset, mut engine) = (None, None, "serial".to_string());
+            let mut i = 0;
+            while i < rest.len() {
+                let flag = rest[i].clone();
+                let mut value = || {
+                    i += 1;
+                    rest.get(i).cloned().unwrap_or_else(|| client_usage())
+                };
+                match flag.as_str() {
+                    "--tenant" => tenant = Some(value()),
+                    "--dataset" => dataset = Some(value()),
+                    "--engine" => engine = value(),
+                    flag => {
+                        if !learn_flag(&mut opts, flag, value, client_usage) {
+                            client_usage()
+                        }
+                    }
+                }
+                i += 1;
+            }
+            let (Some(tenant), Some(dataset)) = (tenant, dataset) else {
                 client_usage()
             };
-            let engine = flags.get("engine").map(String::as_str).unwrap_or("serial");
-            // Learn flags land in the same Options the batch parser
-            // fills, then go through the same config builder.
-            let mut opts = Options::defaults();
-            let parse = |flags: &std::collections::BTreeMap<String, String>,
-                         name: &str,
-                         default: usize|
-             -> usize {
-                flags
-                    .get(name)
-                    .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                    .unwrap_or(default)
-            };
-            opts.seed = flags
-                .get("seed")
-                .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                .unwrap_or(0);
-            opts.ganesh_runs = parse(&flags, "ganesh-runs", opts.ganesh_runs);
-            opts.update_steps = parse(&flags, "update-steps", opts.update_steps);
-            opts.init_clusters = flags
-                .get("init-clusters")
-                .map(|v| v.parse().unwrap_or_else(|_| client_usage()));
-            opts.trees = parse(&flags, "trees", opts.trees);
-            opts.splits_per_node = parse(&flags, "splits-per-node", opts.splits_per_node);
-            opts.sampling_steps = parse(&flags, "sampling-steps", opts.sampling_steps);
-            opts.threshold = flags
-                .get("threshold")
-                .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                .unwrap_or(0.0);
-            opts.reference = flags.contains_key("reference");
-            opts.gibbs_naive = flags.contains_key("gibbs-naive");
-            opts.consensus_dense = flags.contains_key("consensus-dense");
             let config = match base_config(&opts).validated() {
                 Ok(config) => config,
                 Err(e) => {
@@ -1375,10 +1212,10 @@ fn client_main(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            finish(client.submit(tenant, dataset, engine, &config))
+            finish(client.submit(&tenant, &dataset, &engine, &config))
         }
         "status" | "result" | "cancel" | "suspend" | "resume" | "watch" => {
-            let flags = client_flags(&rest, &[]);
+            let flags = client_flags(&rest);
             let Some(job) = flags.get("job") else {
                 client_usage()
             };
@@ -1429,11 +1266,11 @@ fn client_main(args: &[String]) -> ExitCode {
             }
         }
         "accounting" => {
-            let flags = client_flags(&rest, &[]);
+            let flags = client_flags(&rest);
             finish(client.accounting(flags.get("tenant").map(String::as_str)))
         }
         "jobs" => {
-            let flags = client_flags(&rest, &[]);
+            let flags = client_flags(&rest);
             finish(client.jobs(flags.get("tenant").map(String::as_str)))
         }
         "shutdown" => finish(client.shutdown()),

@@ -613,11 +613,16 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
                 return Err(ServeError::ShuttingDown);
             }
             let mut sched = shared.sched();
-            if !sched
-                .datasets
-                .contains_key(&(tenant.clone(), dataset.clone()))
-            {
+            let Some(data) = sched.datasets.get(&(tenant.clone(), dataset.clone())) else {
                 return Err(ServeError::UnknownDataset(format!("{tenant}/{dataset}")));
+            };
+            // The protocol validates the config without the data; the
+            // candidate regulators can only be checked against it here.
+            let n_vars = data.n_vars();
+            if let Some(&v) = config.candidate_parents.iter().flatten().find(|&&v| v >= n_vars) {
+                return Err(ServeError::BadRequest(format!(
+                    "candidate parent {v} out of range: {tenant}/{dataset} has {n_vars} variables"
+                )));
             }
             if sched.queued_total >= shared.cfg.max_queue {
                 return Err(ServeError::Backpressure {

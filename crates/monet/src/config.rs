@@ -19,8 +19,8 @@ pub struct LearnerConfig {
     /// GaneSH co-clustering parameters (task 1).
     pub ganesh: GaneshParams,
     /// Consensus-clustering parameters (task 2): threshold, backend
-    /// (sparse sharded by default, `--consensus-dense` for the
-    /// replicated §3.2.2 baseline), spectral extraction.
+    /// (sparse sharded by default, `Dense` for the replicated §3.2.2
+    /// baseline), spectral extraction.
     pub consensus: ConsensusParams,
     /// Module-learning parameters (task 3).
     pub tree: TreeParams,

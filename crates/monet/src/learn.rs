@@ -1,12 +1,12 @@
 //! The full learning pipeline: the three Lemon-Tree tasks wired
 //! together over one execution engine (Fig. 2 of the paper).
 //!
-//! The stages themselves live in [`crate::stages`] (which also offers
-//! checkpointed execution); this module is the one-shot composition.
+//! The pipeline itself lives in [`crate::stages`]; a plain run is that
+//! pipeline with no checkpoint store.
 
 use crate::config::LearnerConfig;
 use crate::model::ModuleNetwork;
-use crate::stages::{run_consensus, run_ganesh, run_module_learning};
+use crate::stages;
 use mn_comm::{ParEngine, RunReport};
 use mn_data::Dataset;
 
@@ -38,10 +38,7 @@ pub fn learn_module_network<E: ParEngine>(
     config: &LearnerConfig,
 ) -> (ModuleNetwork, RunReport) {
     let config = config.clone().validated().expect("invalid configuration");
-    let task1 = run_ganesh(engine, data, &config);
-    let task2 = run_consensus(engine, data, &config, &task1);
-    let network = run_module_learning(engine, data, &config, &task2);
-    (network, engine.report())
+    stages::storeless(stages::learn(engine, data, &config, None))
 }
 
 #[cfg(test)]

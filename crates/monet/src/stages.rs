@@ -1,15 +1,20 @@
-//! The pipeline as resumable stages, with checkpointing.
+//! The pipeline as resumable units, with checkpointing.
 //!
 //! §5.3 of the paper: "any intermediate files and the final MoNet
 //! structure ... are written to the disk by the process with rank 0".
-//! This module exposes the three Lemon-Tree tasks as separate stage
-//! functions with serializable outputs, plus a [`Checkpoint`] that
-//! persists completed stages so a long run (the paper's runs last
-//! hours even on 4096 cores) can resume after an interruption without
-//! repeating finished work.
+//! The three Lemon-Tree tasks run as one pipeline of *units* — each
+//! GaneSH run, the consensus matrix and partition, each module's tree
+//! ensemble — over an optional [`CheckpointStore`]. With a store, every
+//! unit is restored when persisted and otherwise computed and
+//! persisted, so a long run (the paper's runs last hours even on 4096
+//! cores) resumes after an interruption without repeating finished
+//! work. Without one, every unit is simply computed: a plain run is the
+//! checkpointed pipeline with no store.
 //!
-//! [`crate::learn_module_network`] is the one-shot composition of
-//! these stages; [`learn_with_checkpoint`] is the resumable one.
+//! [`crate::learn_module_network`] runs the pipeline with no store;
+//! [`learn_with_checkpoint`] and [`learn_with_checkpoint_policy`] run
+//! it over a store. [`run_ganesh`], [`run_consensus`] and
+//! [`run_module_learning`] expose its three tasks one at a time.
 
 use crate::checkpoint::{
     data_fingerprint, CheckpointError, CheckpointStore, ResumePolicy, UnitRecord,
@@ -17,13 +22,13 @@ use crate::checkpoint::{
 use crate::config::LearnerConfig;
 use crate::learn::phases;
 use crate::model::{Module, ModuleNetwork};
-use mn_comm::ParEngine;
+use mn_comm::{ParEngine, RunReport};
 use mn_consensus::{
     build_cooccurrence, consensus_outcome, extract_clusters, CoMatrix, ConsensusBackend,
     SparseSymMatrix,
 };
 use mn_data::Dataset;
-use mn_gibbs::{ganesh, ganesh_ensemble};
+use mn_gibbs::ganesh;
 use mn_rand::MasterRng;
 use mn_tree::{assign_splits, learn_module_trees, learn_parents, ModuleEnsemble};
 use serde::{Deserialize, Serialize};
@@ -50,27 +55,19 @@ pub fn run_ganesh<E: ParEngine>(
     data: &Dataset,
     config: &LearnerConfig,
 ) -> GaneshOutput {
-    let master = MasterRng::new(config.seed);
-    engine.begin_phase(phases::GANESH);
-    GaneshOutput {
-        ensemble: ganesh_ensemble(engine, data, &master, config.ganesh_runs, &config.ganesh),
-    }
+    storeless(ganesh_task(engine, data, config, None))
 }
 
 /// Task 2: consensus clustering of the ensemble on the configured
 /// backend — sharded sparse by default, or the dense path replicated
-/// on all ranks per §3.2.2 (`--consensus-dense`).
+/// on all ranks per §3.2.2.
 pub fn run_consensus<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
     ganesh: &GaneshOutput,
 ) -> ConsensusOutput {
-    engine.begin_phase(phases::CONSENSUS);
-    let outcome = consensus_outcome(engine, data.n_vars(), &ganesh.ensemble, &config.consensus);
-    ConsensusOutput {
-        modules: outcome.clusters,
-    }
+    storeless(consensus_task(engine, data, config, None, ganesh))
 }
 
 /// Task 3: learn trees, assign splits, score parents, and assemble the
@@ -81,22 +78,119 @@ pub fn run_module_learning<E: ParEngine>(
     config: &LearnerConfig,
     consensus: &ConsensusOutput,
 ) -> ModuleNetwork {
-    let master = MasterRng::new(config.seed);
-    engine.begin_phase(phases::MODULES);
-    let ensembles: Vec<_> = consensus
-        .modules
-        .iter()
-        .enumerate()
-        .map(|(k, vars)| learn_module_trees(engine, data, &master, k, vars, &config.tree))
-        .collect();
-    finish_module_learning(engine, data, config, &master, ensembles)
+    storeless(module_task(engine, data, config, None, consensus))
 }
 
-/// The tail of task 3 shared by the one-shot and checkpointed paths:
-/// split assignment over the global candidate list, parent scoring,
-/// and network assembly. Deterministic given the tree ensembles (the
-/// split/parent streams are keyed, not positional), so checkpointed
-/// runs recompute it instead of persisting it.
+/// Unwrap a result of the pipeline run with no store, which does no
+/// checkpoint I/O and so cannot fail.
+pub(crate) fn storeless<T>(result: Result<T, CheckpointError>) -> T {
+    result.unwrap_or_else(|e| unreachable!("a run without a store failed on checkpoint I/O: {e}"))
+}
+
+/// The whole pipeline, over `store` when there is one. Without a store
+/// every unit is computed and moved out, nothing serialized. Every
+/// phase is begun whether or not its units were restored, so a resumed
+/// run has the same phase sequence as an uninterrupted one.
+pub(crate) fn learn<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    config: &LearnerConfig,
+    mut store: Option<&mut CheckpointStore>,
+) -> Result<(ModuleNetwork, RunReport), CheckpointError> {
+    let task1 = ganesh_task(engine, data, config, store.as_deref_mut())?;
+    let task2 = consensus_task(engine, data, config, store.as_deref_mut(), &task1)?;
+    let network = module_task(engine, data, config, store, &task2)?;
+    Ok((network, engine.report()))
+}
+
+/// Task 1 — one unit per GaneSH run (independent keyed streams).
+fn ganesh_task<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    config: &LearnerConfig,
+    mut store: Option<&mut CheckpointStore>,
+) -> Result<GaneshOutput, CheckpointError> {
+    let master = MasterRng::new(config.seed);
+    engine.begin_phase(phases::GANESH);
+    let mut ensemble = Vec::with_capacity(config.ganesh_runs);
+    for run in 0..config.ganesh_runs as u64 {
+        let unit = format!("ganesh_run_{run}");
+        ensemble.push(run_unit(engine, store.as_deref_mut(), &unit, |engine| {
+            ganesh(engine, data, &master, run, &config.ganesh).var_cluster_members()
+        })?);
+        // Imbalance-feedback point (§5.3.1): between independent
+        // GaneSH runs the engine may re-evaluate its partitioning from
+        // the imbalance the finished run measured. Results are
+        // item-ordered and RNG streams item-keyed, so a re-partition
+        // here cannot change any sampled network.
+        engine.partition_feedback();
+    }
+    Ok(GaneshOutput { ensemble })
+}
+
+/// Task 2 — without a store, or on the dense backend, one
+/// `consensus` unit: build the matrix and extract the partition. On
+/// the sparse backend with a store, two units: the thresholded matrix
+/// (persisted in its canonical upper-triangle CSR form,
+/// `consensus_cooc.json`) and the extracted partition
+/// (`consensus.json`), so a run killed between the build and the
+/// extraction resumes from the matrix. The dense matrix is never
+/// persisted: its footprint is exactly what the sparse path exists to
+/// avoid.
+fn consensus_task<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    config: &LearnerConfig,
+    store: Option<&mut CheckpointStore>,
+    ganesh: &GaneshOutput,
+) -> Result<ConsensusOutput, CheckpointError> {
+    let (n, ensemble, params) = (data.n_vars(), &ganesh.ensemble, &config.consensus);
+    engine.begin_phase(phases::CONSENSUS);
+    let modules = match store {
+        Some(store) if params.backend == ConsensusBackend::Sparse => {
+            let parts = run_unit(engine, Some(&mut *store), "consensus_cooc", |engine| {
+                match build_cooccurrence(engine, n, ensemble, params) {
+                    CoMatrix::Sparse(m) => m.to_parts(),
+                    CoMatrix::Dense(_) => unreachable!("sparse backend built a dense matrix"),
+                }
+            })?;
+            let matrix = CoMatrix::Sparse(SparseSymMatrix::from_parts(parts));
+            run_unit(engine, Some(store), "consensus", |engine| {
+                extract_clusters(engine, &matrix, params).clusters
+            })?
+        }
+        store => run_unit(engine, store, "consensus", |engine| {
+            consensus_outcome(engine, n, ensemble, params).clusters
+        })?,
+    };
+    Ok(ConsensusOutput { modules })
+}
+
+/// Task 3 — one unit per module's tree ensemble, then the
+/// deterministic tail (splits, parents, assembly), which is recomputed
+/// rather than persisted: the split/parent streams are keyed, not
+/// positional.
+fn module_task<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    config: &LearnerConfig,
+    mut store: Option<&mut CheckpointStore>,
+    consensus: &ConsensusOutput,
+) -> Result<ModuleNetwork, CheckpointError> {
+    let master = MasterRng::new(config.seed);
+    engine.begin_phase(phases::MODULES);
+    let mut ensembles = Vec::with_capacity(consensus.modules.len());
+    for (k, vars) in consensus.modules.iter().enumerate() {
+        let unit = format!("module_{k}");
+        ensembles.push(run_unit(engine, store.as_deref_mut(), &unit, |engine| {
+            learn_module_trees(engine, data, &master, k, vars, &config.tree)
+        })?);
+    }
+    Ok(finish_module_learning(engine, data, config, &master, ensembles))
+}
+
+/// The tail of task 3: split assignment over the global candidate
+/// list, parent scoring, and network assembly.
 fn finish_module_learning<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
@@ -131,59 +225,6 @@ fn finish_module_learning<E: ParEngine>(
     network
 }
 
-/// A persisted pipeline state: completed stage outputs plus the
-/// fingerprint that guards against resuming with a different problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Data fingerprint: (n, m, sum of all cells) — cheap and
-    /// sufficient to catch "resumed against the wrong matrix".
-    pub fingerprint: (usize, usize, f64),
-    /// Completed task 1, if any.
-    pub ganesh: Option<GaneshOutput>,
-    /// Completed task 2, if any.
-    pub consensus: Option<ConsensusOutput>,
-}
-
-impl Checkpoint {
-    /// Fresh checkpoint for a (data, config) pair.
-    pub fn new(data: &Dataset, config: &LearnerConfig) -> Self {
-        Self {
-            seed: config.seed,
-            fingerprint: Self::fingerprint(data),
-            ganesh: None,
-            consensus: None,
-        }
-    }
-
-    fn fingerprint(data: &Dataset) -> (usize, usize, f64) {
-        (
-            data.n_vars(),
-            data.n_obs(),
-            data.matrix.as_slice().iter().sum(),
-        )
-    }
-
-    /// Whether this checkpoint belongs to the given problem.
-    pub fn matches(&self, data: &Dataset, config: &LearnerConfig) -> bool {
-        self.seed == config.seed && self.fingerprint == Self::fingerprint(data)
-    }
-
-    /// Persist as JSON.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        let text = serde_json::to_string(self).expect("checkpoint serialization");
-        std::fs::write(path, text)
-    }
-
-    /// Load from JSON.
-    pub fn load<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
 /// Counter increments produced since the `before` snapshot — the
 /// deltas persisted with a checkpoint unit so a resume can replay
 /// them.
@@ -206,16 +247,17 @@ fn counter_delta<E: ParEngine>(
         .collect()
 }
 
-/// Execute one checkpoint unit: restore it (replaying its counter
-/// deltas so the recorder state is bit-identical to having computed
-/// it) when the store holds it, otherwise compute it, capture the
-/// deltas, and persist both. `checkpoint.units_written` /
+/// Execute one unit of the pipeline. Without a store, compute it and
+/// move it out. With one, restore it (replaying its counter deltas so
+/// the recorder state is bit-identical to having computed it) when the
+/// store holds it, otherwise compute it, capture the deltas, and
+/// persist both. `checkpoint.units_written` /
 /// `checkpoint.units_skipped` are bumped *outside* the captured
 /// window, identically on every rank, and excluded from cross-run
 /// equivalence (see [`mn_obs::counters`]).
 fn run_unit<E, T>(
     engine: &mut E,
-    store: &mut CheckpointStore,
+    store: Option<&mut CheckpointStore>,
     unit: &str,
     compute: impl FnOnce(&mut E) -> T,
 ) -> Result<T, CheckpointError>
@@ -223,6 +265,9 @@ where
     E: ParEngine,
     T: Serialize + Deserialize,
 {
+    let Some(store) = store else {
+        return Ok(compute(engine));
+    };
     if let Some(record) = store.get::<T>(unit) {
         for (name, by) in &record.counters {
             engine.obs_mut().incr(name, *by);
@@ -263,7 +308,7 @@ pub fn learn_with_checkpoint<E: ParEngine, P: AsRef<Path>>(
     data: &Dataset,
     config: &LearnerConfig,
     dir: P,
-) -> Result<(ModuleNetwork, mn_comm::RunReport), CheckpointError> {
+) -> Result<(ModuleNetwork, RunReport), CheckpointError> {
     learn_with_checkpoint_policy(engine, data, config, dir, ResumePolicy::Auto)
 }
 
@@ -271,12 +316,13 @@ pub fn learn_with_checkpoint<E: ParEngine, P: AsRef<Path>>(
 /// directory `dir`.
 ///
 /// Progress is persisted per *unit* — each GaneSH run of task 1
-/// (`ganesh_run_<g>.json`), the consensus partition of task 2
-/// (`consensus.json`), and each module's tree ensemble of task 3
-/// (`module_<k>.json`) — so a run killed mid-task resumes after the
-/// last completed unit rather than at a stage boundary. Split
-/// assignment and parent scoring recompute from the stored ensembles
-/// (they are deterministic under the keyed-stream discipline).
+/// (`ganesh_run_<g>.json`), the consensus matrix and partition of
+/// task 2 (`consensus_cooc.json`, `consensus.json`), and each module's
+/// tree ensemble of task 3 (`module_<k>.json`) — so a run killed
+/// mid-task resumes after the last completed unit rather than at a
+/// stage boundary. Split assignment and parent scoring recompute from
+/// the stored ensembles (they are deterministic under the keyed-stream
+/// discipline).
 ///
 /// Restored units replay their recorded counter deltas, and every
 /// phase is begun whether or not its units were skipped, so a resumed
@@ -292,7 +338,7 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
     config: &LearnerConfig,
     dir: P,
     policy: ResumePolicy,
-) -> Result<(ModuleNetwork, mn_comm::RunReport), CheckpointError> {
+) -> Result<(ModuleNetwork, RunReport), CheckpointError> {
     let config = config.clone().validated().expect("invalid configuration");
     let mut store = CheckpointStore::open(
         dir,
@@ -303,65 +349,7 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
         engine.io_rank(),
     )?;
     engine.io_barrier();
-
-    // Task 1 — one unit per GaneSH run (independent keyed streams).
-    let master = MasterRng::new(config.seed);
-    engine.begin_phase(phases::GANESH);
-    let mut ensemble = Vec::with_capacity(config.ganesh_runs);
-    for run in 0..config.ganesh_runs as u64 {
-        let unit = format!("ganesh_run_{run}");
-        ensemble.push(run_unit(engine, &mut store, &unit, |engine| {
-            ganesh(engine, data, &master, run, &config.ganesh).var_cluster_members()
-        })?);
-    }
-    let ganesh_out = GaneshOutput { ensemble };
-
-    // Task 2 — on the sparse backend, two units: the thresholded
-    // matrix (persisted in its canonical upper-triangle CSR form,
-    // `consensus_cooc.json`) and the extracted partition
-    // (`consensus.json`), so a run killed between the build and the
-    // extraction resumes from the matrix. The dense baseline keeps the
-    // single `consensus.json` unit (the full matrix is exactly the
-    // footprint the sparse path exists to avoid persisting).
-    engine.begin_phase(phases::CONSENSUS);
-    let modules = match config.consensus.backend {
-        ConsensusBackend::Dense => run_unit(engine, &mut store, "consensus", |engine| {
-            consensus_outcome(engine, data.n_vars(), &ganesh_out.ensemble, &config.consensus)
-                .clusters
-        })?,
-        ConsensusBackend::Sparse => {
-            let parts = run_unit(engine, &mut store, "consensus_cooc", |engine| {
-                match build_cooccurrence(
-                    engine,
-                    data.n_vars(),
-                    &ganesh_out.ensemble,
-                    &config.consensus,
-                ) {
-                    CoMatrix::Sparse(m) => m.to_parts(),
-                    CoMatrix::Dense(_) => unreachable!("sparse backend built a dense matrix"),
-                }
-            })?;
-            let matrix = CoMatrix::Sparse(SparseSymMatrix::from_parts(parts));
-            run_unit(engine, &mut store, "consensus", |engine| {
-                extract_clusters(engine, &matrix, &config.consensus).clusters
-            })?
-        }
-    };
-    let consensus = ConsensusOutput { modules };
-
-    // Task 3 — one unit per module's tree ensemble, then the
-    // deterministic tail (splits, parents, assembly) recomputed.
-    let master = MasterRng::new(config.seed);
-    engine.begin_phase(phases::MODULES);
-    let mut ensembles = Vec::with_capacity(consensus.modules.len());
-    for (k, vars) in consensus.modules.iter().enumerate() {
-        let unit = format!("module_{k}");
-        ensembles.push(run_unit(engine, &mut store, &unit, |engine| {
-            learn_module_trees(engine, data, &master, k, vars, &config.tree)
-        })?);
-    }
-    let network = finish_module_learning(engine, data, &config, &master, ensembles);
-    Ok((network, engine.report()))
+    learn(engine, data, &config, Some(&mut store))
 }
 
 #[cfg(test)]
@@ -388,7 +376,7 @@ mod tests {
 
     /// Counters minus the `checkpoint.*` bookkeeping — the set the
     /// cross-run equivalence contract covers.
-    fn equivalence_counters(engine: &SerialEngine) -> BTreeMap<String, u64> {
+    fn equivalence_counters(engine: &impl ParEngine) -> BTreeMap<String, u64> {
         engine
             .obs()
             .counters()
@@ -410,31 +398,65 @@ mod tests {
         assert_eq!(oneshot, staged);
     }
 
-    #[test]
-    fn checkpointed_run_is_identical_to_plain_run() {
-        // The crash-consistency contract's fault-free half: enabling
-        // checkpointing perturbs neither the network nor the counters.
-        let (d, c) = setup();
-        let dir = tmpdir("plain_eq");
-        let mut plain_engine = SerialEngine::new();
-        let (plain, plain_report) = learn_module_network(&mut plain_engine, &d, &c);
-
-        let mut ckpt_engine = SerialEngine::new();
-        let (ckpt, ckpt_report) =
-            learn_with_checkpoint(&mut ckpt_engine, &d, &c, &dir).unwrap();
+    /// Learn `(d, c)` plainly and over a fresh checkpoint directory on
+    /// two engines from `engine`, and check that checkpointing perturbs
+    /// neither the network nor the counters; returns both reports.
+    fn plain_and_checkpointed<E: ParEngine>(
+        engine: impl Fn() -> E,
+        d: &Dataset,
+        c: &LearnerConfig,
+        tag: &str,
+    ) -> (RunReport, RunReport) {
+        let dir = tmpdir(tag);
+        let mut plain_engine = engine();
+        let (plain, plain_report) = learn_module_network(&mut plain_engine, d, c);
+        let mut ckpt_engine = engine();
+        let (ckpt, ckpt_report) = learn_with_checkpoint(&mut ckpt_engine, d, c, &dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             crate::to_json(&plain),
             crate::to_json(&ckpt),
-            "checkpoint writes must not perturb the learned network"
+            "{tag}: checkpoint writes must not perturb the learned network"
         );
         assert_eq!(
             equivalence_counters(&plain_engine),
-            equivalence_counters(&ckpt_engine)
+            equivalence_counters(&ckpt_engine),
+            "{tag}"
         );
+        (plain_report, ckpt_report)
+    }
+
+    #[test]
+    fn checkpointed_run_is_identical_to_plain_run() {
+        // The crash-consistency contract's fault-free half: plain and
+        // checkpointed runs are one pipeline, with and without a
+        // store, so enabling checkpointing perturbs neither the
+        // network, the counters nor the phase sequence.
+        let (d, c) = setup();
+        let (plain, ckpt) = plain_and_checkpointed(SerialEngine::new, &d, &c, "plain_eq");
         let phase_names =
-            |r: &mn_comm::RunReport| r.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
-        assert_eq!(phase_names(&plain_report), phase_names(&ckpt_report));
-        std::fs::remove_dir_all(&dir).ok();
+            |r: &RunReport| r.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
+        assert_eq!(phase_names(&plain), phase_names(&ckpt));
+
+        // On the simulated clock the whole report is deterministic, so
+        // every phase field must agree too — including under the
+        // cost-guided governor, which the GaneSH runs feed between
+        // runs on both paths.
+        let sim = || {
+            let mut engine = mn_comm::SimEngine::new(4);
+            engine.set_partition_strategy(mn_comm::PartitionStrategy::CostGuided);
+            engine
+        };
+        for (n, m, g) in [(60, 30, 3), (120, 40, 4)] {
+            let d = synthetic::yeast_like(n, m, 31).dataset;
+            let mut c = LearnerConfig::paper_minimum(6);
+            c.ganesh_runs = g;
+            let tag = format!("sim4_{n}x{m}_g{g}");
+            let (plain, ckpt) = plain_and_checkpointed(sim, &d, &c, &tag);
+            assert_eq!(plain.phases.len(), 3, "{tag}");
+            // Name, elapsed, busy max/avg and comm of every phase.
+            assert_eq!(plain, ckpt, "{tag}");
+        }
     }
 
     #[test]
@@ -524,43 +546,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_serialization_roundtrip() {
-        let (d, c) = setup();
-        let mut cp = Checkpoint::new(&d, &c);
-        cp.ganesh = Some(GaneshOutput {
-            ensemble: vec![vec![vec![0, 1], vec![2]]],
-        });
-        let path = std::env::temp_dir().join("monet_checkpoint_serde.json");
-        cp.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn checkpoint_matches_same_dims_different_data() {
-        // Same (n, m) but different cells: the cell-sum component of
-        // the fingerprint must reject the swap.
-        let (d, c) = setup();
-        let cp = Checkpoint::new(&d, &c);
-        let mut other = d.clone();
-        let first = other.matrix.get(0, 0);
-        other.matrix.set(0, 0, first + 1.0);
-        assert_eq!((d.n_vars(), d.n_obs()), (other.n_vars(), other.n_obs()));
-        assert!(cp.matches(&d, &c));
-        assert!(!cp.matches(&other, &c), "same dims, different cells");
-    }
-
-    #[test]
-    fn checkpoint_matches_same_data_different_seed() {
-        let (d, c) = setup();
-        let cp = Checkpoint::new(&d, &c);
-        let mut c2 = c.clone();
-        c2.seed = c.seed + 1;
-        assert!(cp.matches(&d, &c));
-        assert!(!cp.matches(&d, &c2), "same data, different seed");
     }
 }

@@ -589,4 +589,13 @@ fn cli_rejects_bad_usage() {
         .output()
         .expect("run monet");
     assert_eq!(output.status.code(), Some(1));
+    // The kernel and backend baselines are library settings, not
+    // flags: both are unknown to the CLI (exit 2).
+    for flag in ["--gibbs-naive", "--consensus-dense"] {
+        let output = Command::new(monet_bin())
+            .args(["--synthetic", "10,10", flag])
+            .output()
+            .expect("run monet");
+        assert_eq!(output.status.code(), Some(2), "{flag}");
+    }
 }

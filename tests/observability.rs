@@ -66,7 +66,7 @@ fn counters_bit_identical_across_all_engines_and_rank_counts() {
         "gibbs.moves_accepted",
         // The default scoring path is the batched kernel; its dispatch
         // marker and cache traffic must show up (the naive counter
-        // stays 0 unless `--gibbs-naive` flips the path).
+        // stays 0 unless `CandidateScoring::Naive` flips the path).
         "gibbs.kernel_dispatches",
         "gibbs.cache_hits",
         "gibbs.cache_misses",

@@ -226,6 +226,32 @@ fn degenerate_synthetic_shape_is_a_bad_request_and_serving_continues() {
 }
 
 #[test]
+fn out_of_range_candidate_parent_is_a_bad_request_and_serving_continues() {
+    // The protocol validates a config without the data, so a candidate
+    // regulator index past the registered dataset's variables used to
+    // be admitted and then panic the job. It must be refused at submit
+    // time, on a connection that stays usable.
+    let server = TestServer::start("candidates", 1, 4);
+    let mut client = server.client();
+    ok(client.register_synthetic("t", "d", 12, 10, 7));
+    let mut config = LearnerConfig::paper_minimum(1);
+    config.candidate_parents = Some(vec![0, 12]);
+    let refusal = err(client.submit("t", "d", "serial", &config));
+    assert_eq!(refusal.kind(), "bad-request");
+    assert!(refusal.to_string().contains("candidate parent 12"), "{refusal}");
+    ok(client.ping());
+    // The last in-range index is still accepted, and the job finishes.
+    config.candidate_parents = Some(vec![0, 11]);
+    let job = ok(client.submit("t", "d", "serial", &config))["job"]
+        .as_str()
+        .unwrap()
+        .to_string();
+    wait_state(&mut client, &job, "done", Duration::from_secs(60));
+    ok(server.client().ping());
+    server.shutdown();
+}
+
+#[test]
 fn cancellation_backpressure_and_unknowns_are_typed() {
     let server = TestServer::start("cancel", 1, 1);
     let mut client = server.client();
